@@ -1,14 +1,12 @@
 """Workloads of the mopp benchmark and the phases that measure them.
 
-A run of a workload happens in one process, on the workload's own config:
+A run of a workload happens in one process, on the workload's own config.
+It builds the pipeline's artefacts once (set-up 0), then repeats rounds
+while another fits in --seconds (at least MIN_ROUNDS). Each round runs:
 
 set-up    ``mopp gen-data``, ``train-dynamics``, ``train-behavior`` and
-          ``train-q`` into a fresh directory, SETUP_REPS times. The artefacts
-          of every repetition must be byte-identical; setup_s is the median.
-
-Then rounds repeat while another fits in --seconds (at least MIN_ROUNDS), so
-the samples of every metric spread over the whole run. Each round runs:
-
+          ``train-q`` into a fresh directory; the artefacts must be
+          byte-identical to set-up 0's;
 train     one timed call each of ``adm.adm_train`` (dynamics, behavior) and
           ``value.fqe_train`` on the set-up dataset, at the workload's
           architecture and batch sizes and TRAIN_* step counts;
@@ -16,12 +14,21 @@ control   one closed-loop episode of CONTROL_STEPS steps through
           ``planner.run_episode`` on the set-up models, timing every
           ``planner.plan_step`` call;
 evaluate  ``mopp evaluate`` (results.csv must match every earlier round's)
-          and ``mopp ablate``, in-process on the set-up artefacts, with every
-          episode cut to EVAL_STEPS control steps.
+          and ``mopp ablate``, in-process on the set-up 0 artefacts, with
+          every episode cut to EVAL_STEPS control steps.
 
-control_steps_per_s is the control steps of evaluate and ablate over their
-wall time; pipeline_s is setup_s plus the mean evaluate-round time, one pass
-through every CLI command.
+Every timing is corrected for the shared host's speed (see hostclock.py):
+a fixed probe runs before each timed operation and control step, and times
+are scaled to a host on which the probe takes hostclock.REF_S. The report
+line gives the uncorrected values too.
+
+- setup_s is the median over all set-up repetitions (set-up 0 and one per
+  round), so work moved into set-up shows;
+- plan_step_ms_p50 and _p95 are percentiles over every control step;
+- adm_*_steps_per_s, fqe_steps_per_s and control_steps_per_s (evaluate
+  and ablate control steps) are work over time pooled across the rounds;
+- pipeline_s is the median over rounds of set-up plus evaluate plus
+  ablate: one pass through every CLI command.
 
 All loops are closed: each operation starts when the one before it ends.
 The seed reaches the program only as ``--seed`` and as episode seeds.
@@ -34,6 +41,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import shutil
 import statistics
 import sys
 import time
@@ -45,11 +53,10 @@ from mopp import adm, cli, data, envs, nn, planner, value
 from mopp.config import load_config
 
 import tracing
+from hostclock import HostClock
 
-SETUP_REPS = 3
 SETUP_COMMANDS = ("gen-data", "train-dynamics", "train-behavior", "train-q")
 EVAL_COMMANDS = ("evaluate", "ablate")
-# At least 4 rounds of 50 control steps: 200 plan_step samples for the p95.
 MIN_ROUNDS = 4
 CONTROL_STEPS = 50
 # Episode seeds of the control phase and the held-out data sit apart from
@@ -59,10 +66,10 @@ HELDOUT_SEED_OFFSET = 7919
 HELDOUT_EPISODES = 2
 # One timed training round: optimizer steps per member of each adm_train
 # call, and (iterations, steps per iteration) of the fqe_train call.
-TRAIN_ADM_STEPS = 8
-TRAIN_FQE_SHAPE = (2, 25)
+TRAIN_ADM_STEPS = 6
+TRAIN_FQE_SHAPE = (1, 20)
 # Control steps per episode inside evaluate and ablate.
-EVAL_STEPS = 6
+EVAL_STEPS = 4
 
 
 # Workloads are mopp config files; seeds come from --seed. Both use the
@@ -137,17 +144,16 @@ def _more(start: float, budget: float, done: int) -> bool:
     return elapsed + elapsed / done <= budget
 
 
-def run_cli(command: str, cfg_path: str, out: str, seed: int):
-    """Run one mopp command in-process; returns (seconds, problem or None)."""
+def run_cli(command: str, cfg_path: str, out: str, seed: int, clock: HostClock):
+    """Run one mopp command in-process; returns (Interval, problem or None)."""
     argv = [command, "--config", cfg_path, "--out", out, "--seed", str(seed), "--quiet"]
-    t0 = time.perf_counter()
+    mark = clock.start()
     try:
         code = cli.main(argv)
     except (Exception, SystemExit) as err:  # a crashed command is a failed operation
         traceback.print_exc()
         code = repr(err)
-    seconds = time.perf_counter() - t0
-    return seconds, None if code == 0 else f"exit {code}"
+    return clock.stop(mark), None if code == 0 else f"exit {code}"
 
 
 def tree_digest(root: str) -> str:
@@ -195,29 +201,47 @@ def short_episodes(steps: int):
     return patched(envs, "make_env", make)
 
 
+def probing(clock: HostClock):
+    """Probe the host's speed before every ``planner.plan_step`` call."""
+
+    def make(original):
+        def plan_step(*args, **kwargs):
+            clock.probe()
+            return original(*args, **kwargs)
+
+        return plan_step
+
+    return patched(planner, "plan_step", make)
+
+
 class StepTimer:
-    """Times every ``planner.plan_step`` call while installed.
+    """Times every ``planner.plan_step`` call while installed, each after a probe.
 
     With a tracer, tracing is switched on for even-numbered steps only, so
     traced and untraced steps of the same episodes give the tracing overhead.
     """
 
-    def __init__(self, tracer=None):
+    def __init__(self, clock: HostClock, tracer=None):
+        self.clock = clock
         self.tracer = tracer
-        self.seconds = []
+        self.intervals = []
         self.traced = []
+
+    @property
+    def seconds(self):
+        return [iv.seconds for iv in self.intervals]
 
     def installed(self):
         def make(original):
             def plan_step(*args, **kwargs):
-                traced = self.tracer is not None and len(self.seconds) % 2 == 0
+                traced = self.tracer is not None and len(self.intervals) % 2 == 0
                 if self.tracer is not None:
                     was, self.tracer.enabled = self.tracer.enabled, traced
-                t0 = time.perf_counter()
+                mark = self.clock.start()
                 try:
                     return original(*args, **kwargs)
                 finally:
-                    self.seconds.append(time.perf_counter() - t0)
+                    self.intervals.append(self.clock.stop(mark))
                     self.traced.append(traced)
                     if self.tracer is not None:
                         self.tracer.enabled = was
@@ -227,21 +251,14 @@ class StepTimer:
         return patched(planner, "plan_step", make)
 
 
-def setup_phase(cfg_path: str, work: str, seed: int, ops: Ops, cli_times: dict):
-    """Build the workload's artefacts SETUP_REPS times; returns (median seconds, first dir)."""
-    seconds, digests = [], []
-    for rep in range(SETUP_REPS):
-        out = os.path.join(work, f"setup{rep}")
-        t0 = time.perf_counter()
-        for command in SETUP_COMMANDS:
-            dt, problem = run_cli(command, cfg_path, out, seed)
-            cli_times.setdefault(command, []).append(dt)
-            ops.add(f"set-up {rep}: mopp {command}", [problem] if problem else [])
-        seconds.append(time.perf_counter() - t0)
-        digests.append(tree_digest(out))
-        if digests[rep] != digests[0]:
-            ops.add(f"set-up {rep}: mopp train-q", ["artefacts differ from set-up 0"])
-    return statistics.median(seconds), os.path.join(work, "setup0")
+def setup_rep(cfg_path: str, out: str, seed: int, rep: int, ops: Ops, clock: HostClock, cli_times: dict):
+    """Build the workload's artefacts into ``out``; returns (Interval, artefact digest)."""
+    mark = clock.start()
+    for command in SETUP_COMMANDS:
+        iv, problem = run_cli(command, cfg_path, out, seed, clock)
+        cli_times.setdefault(command, []).append(iv.seconds)
+        ops.add(f"set-up {rep}: mopp {command}", [problem] if problem else [])
+    return clock.stop(mark), tree_digest(out)
 
 
 def load_models(cfg, out: str):
@@ -293,8 +310,8 @@ def heldout_error(cfg, dynamics, seed: int) -> float:
     return float(np.sqrt(np.mean((pred - target) ** 2)))
 
 
-def train_round(cfg, dataset, seed: int, rnd: int, ops: Ops, rates: dict) -> None:
-    """One timed call of each training entry point; appends (optimizer steps, seconds)."""
+def train_round(cfg, dataset, seed: int, rnd: int, ops: Ops, clock: HostClock, rates: dict) -> None:
+    """One timed call of each training entry point; appends (optimizer steps, Interval)."""
     for role, members in (("dynamics", cfg.k1), ("behavior", cfg.k2)):
         acfg = adm.AdmConfig(
             members=members,
@@ -306,13 +323,13 @@ def train_round(cfg, dataset, seed: int, rnd: int, ops: Ops, rates: dict) -> Non
             activation=cfg.adm_activation,
         )
         name = f"round {rnd}: adm_train {role}"
-        t0 = time.perf_counter()
+        mark = clock.start()
         try:
             adm.adm_train(dataset, role, acfg, seed=seed)
         except Exception as err:  # a failed training run is counted, not fatal
             ops.add(name, [repr(err)])
             continue
-        rates[f"adm_{role}"].append((members * TRAIN_ADM_STEPS, time.perf_counter() - t0))
+        rates[f"adm_{role}"].append((members * TRAIN_ADM_STEPS, clock.stop(mark)))
         ops.add(name)
     iterations, steps = TRAIN_FQE_SHAPE
     fcfg = value.FqeConfig(
@@ -324,13 +341,13 @@ def train_round(cfg, dataset, seed: int, rnd: int, ops: Ops, rates: dict) -> Non
         hidden=cfg.fqe_hidden,
     )
     name = f"round {rnd}: fqe_train"
-    t0 = time.perf_counter()
+    mark = clock.start()
     try:
         q = value.fqe_train(dataset, fcfg, seed=seed)
     except Exception as err:
         ops.add(name, [repr(err)])
         return
-    rates["fqe"].append((iterations * steps, time.perf_counter() - t0))
+    rates["fqe"].append((iterations * steps, clock.stop(mark)))
     ops.add(name, [] if np.all(np.isfinite(q.iteration_deltas)) else ["non-finite iteration deltas"])
 
 
@@ -394,16 +411,19 @@ def _read(path: str) -> str:
         return ""
 
 
-def evaluate_round(cfg, cfg_path, out, seed, rnd, ops, cli_times, evals: dict) -> None:
-    """``mopp evaluate`` then ``mopp ablate``; results.csv must match every earlier round's."""
+def evaluate_round(cfg, cfg_path, out, seed, rnd, ops, clock: HostClock, cli_times, evals: dict) -> list:
+    """``mopp evaluate`` then ``mopp ablate``; results.csv must match every earlier round's.
+
+    Returns the two commands' Intervals; the host is probed before every control step.
+    """
     episodes = cfg.episodes  # --seed leaves a single seed
     cells = len(cfg.ablate_values) * len(cfg.ablate_variants)
-    seconds, steps = 0.0, 0
-    with short_episodes(EVAL_STEPS):
+    intervals, steps = [], 0
+    with short_episodes(EVAL_STEPS), probing(clock):
         for command in EVAL_COMMANDS:
-            dt, problem = run_cli(command, cfg_path, out, seed)
-            cli_times.setdefault(command, []).append(dt)
-            seconds += dt
+            iv, problem = run_cli(command, cfg_path, out, seed, clock)
+            cli_times.setdefault(command, []).append(iv.seconds)
+            intervals.append(iv)
             problems = [problem] if problem else []
             if command == "evaluate":
                 results = _read(os.path.join(out, "results.csv"))
@@ -416,27 +436,25 @@ def evaluate_round(cfg, cfg_path, out, seed, rnd, ops, cli_times, evals: dict) -
                 problems += _ablation_problems(_read(os.path.join(out, "ablation.csv")), cells)
                 steps += cells * episodes * EVAL_STEPS
             ops.add(f"round {rnd}: mopp {command}", problems)
-    evals["steps"].append((steps, seconds))
+    evals["steps"].append((steps, intervals))
+    return intervals
 
 
-def _pooled_rate(samples) -> float:
-    """Work per second over all rounds: total work over total time.
-
-    The host's speed drifts in bursts of a second or so; pooling averages
-    the bursts where a median of a few per-round rates would jump between them.
-    """
-    return sum(w for w, _ in samples) / sum(t for _, t in samples)
+def pooled_rate(samples, seconds) -> float:
+    """Work per second over all rounds, from (work, timing) samples and a timing -> seconds map."""
+    return sum(w for w, _ in samples) / sum(seconds(t) for _, t in samples)
 
 
 def run(workload: str, seed: int, seconds: float, work: str, peak_gflops: float, tracer=None):
-    """Run ``workload``: set-up, then rounds of train, control and evaluate.
+    """Run ``workload``: set-up 0, then rounds of set-up, train, control and evaluate.
 
     Rounds repeat while another fits in ``seconds`` (at least MIN_ROUNDS),
-    so every metric's samples spread over the whole run. Returns (ops,
+    so the samples of every metric spread over the whole run. Returns (ops,
     metrics, report); ``metrics`` maps name -> (value, unit): the end-to-end
     metrics, or with a tracer the per-layer metrics of the traced run.
     """
     ops = Ops()
+    clock = HostClock()
     cli_times = {}
     roles = tracing.NetRoles()
     if tracer is not None:
@@ -451,7 +469,9 @@ def run(workload: str, seed: int, seconds: float, work: str, peak_gflops: float,
             tracer.phase = name
 
     phase("setup")
-    setup_s, out = setup_phase(cfg_path, work, seed, ops, cli_times)
+    out = os.path.join(work, "setup0")
+    setup_iv, digest = setup_rep(cfg_path, out, seed, 0, ops, clock, cli_times)
+    setups = [setup_iv]
     cfg = load_config(cfg_path)
     dataset, bundle = load_models(cfg, out)
     pcfg, constraints = planner_setup(cfg, bundle, dataset)
@@ -460,16 +480,25 @@ def run(workload: str, seed: int, seconds: float, work: str, peak_gflops: float,
     rates = {"adm_dynamics": [], "adm_behavior": [], "fqe": []}
     control = {"returns": [], "survivors": []}
     evals = {"steps": []}
-    timer = StepTimer(tracer)
+    passes = []
+    timer = StepTimer(clock, tracer)
     start, rnd = time.perf_counter(), 0
     while rnd < MIN_ROUNDS or _more(start, seconds, rnd):
+        phase("setup")
+        rep_out = os.path.join(work, f"setup{rnd + 1}")
+        setup_iv, rep_digest = setup_rep(cfg_path, rep_out, seed, rnd + 1, ops, clock, cli_times)
+        shutil.rmtree(rep_out, ignore_errors=True)
+        setups.append(setup_iv)
+        if rep_digest != digest:
+            ops.add(f"set-up {rnd + 1}: artefacts", ["differ from set-up 0"])
         phase("train")
-        train_round(cfg, dataset, seed, rnd, ops, rates)
+        train_round(cfg, dataset, seed, rnd, ops, clock, rates)
         phase("control")
         control_round(cfg, bundle, pcfg, constraints, seed, rnd, ops, timer, control)
         phase("evaluate")
-        evaluate_round(cfg, cfg_path, out, seed, rnd, ops, cli_times, evals)
+        passes.append([setup_iv] + evaluate_round(cfg, cfg_path, out, seed, rnd, ops, clock, cli_times, evals))
         rnd += 1
+    clock.probe()  # so the last operation has a probe after it too
     if tracer is not None:
         tracer.enabled = False
         tracer.restore()
@@ -479,26 +508,40 @@ def run(workload: str, seed: int, seconds: float, work: str, peak_gflops: float,
         "control_returns": control["returns"],
         "heldout_model_rmse": model_rmse,
         "uncertainty_threshold": pcfg.uncertainty_threshold,
-        "plan_step_samples": len(timer.seconds),
+        "plan_step_samples": len(timer.intervals),
+        "probe_ms": {
+            "samples": len(clock.took),
+            "min": 1e3 * min(clock.took),
+            "median": 1e3 * statistics.median(clock.took),
+            "max": 1e3 * max(clock.took),
+        },
         "cli_seconds": cli_times,
     }
-    if tracer is None:
-        ms = np.array(timer.seconds) * 1e3
-        metrics = {
-            "setup_s": (setup_s, "s"),
-            "plan_step_ms_p50": (float(np.percentile(ms, 50)), "ms"),
-            "plan_step_ms_p95": (float(np.percentile(ms, 95)), "ms"),
-            "control_steps_per_s": (_pooled_rate(evals["steps"]), "1/s"),
-            "adm_dynamics_steps_per_s": (_pooled_rate(rates["adm_dynamics"]), "1/s"),
-            "adm_behavior_steps_per_s": (_pooled_rate(rates["adm_behavior"]), "1/s"),
-            "fqe_steps_per_s": (_pooled_rate(rates["fqe"]), "1/s"),
-            "pipeline_s": (setup_s + sum(t for _, t in evals["steps"]) / rnd, "s"),
-        }
-    else:
+    if tracer is not None:
         metrics = traced_metrics(tracer, timer, cli_times, control["survivors"], pcfg, peak_gflops)
         report["untraced_layers"] = tracer.missing
         report["expected_plan_counts"] = expected_plan_counts(pcfg, bundle)
-    return ops, metrics, report
+        return ops, metrics, report
+
+    def timings(seconds):
+        """The end-to-end timings, with ``seconds`` mapping an Interval to seconds."""
+        ms = np.array([seconds(iv) for iv in timer.intervals]) * 1e3
+        return {
+            "setup_s": (statistics.median(seconds(iv) for iv in setups), "s"),
+            "plan_step_ms_p50": (float(np.percentile(ms, 50)), "ms"),
+            "plan_step_ms_p95": (float(np.percentile(ms, 95)), "ms"),
+            "control_steps_per_s": (
+                pooled_rate(evals["steps"], lambda ivs: sum(seconds(iv) for iv in ivs)),
+                "1/s",
+            ),
+            "adm_dynamics_steps_per_s": (pooled_rate(rates["adm_dynamics"], seconds), "1/s"),
+            "adm_behavior_steps_per_s": (pooled_rate(rates["adm_behavior"], seconds), "1/s"),
+            "fqe_steps_per_s": (pooled_rate(rates["fqe"], seconds), "1/s"),
+            "pipeline_s": (statistics.median(sum(seconds(iv) for iv in ivs) for ivs in passes), "s"),
+        }
+
+    report["uncorrected"] = {name: v for name, (v, _) in timings(lambda iv: iv.seconds).items()}
+    return ops, timings(clock.corrected), report
 
 
 def install_tracer(tracer, roles) -> None:

@@ -3,7 +3,7 @@ evaluate throughput, training rates and CLI time, with a traced per-layer run.
 
 Run from the repository root (workloads are listed in BENCHMARK.json):
 
-    python3 perfbench/run.py --workload paper-default --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload paper-default --seed 1 --seconds 45 --trace 0
 
 With ``--trace 0`` the last stdout line holds the end-to-end metrics; with
 ``--trace 1`` it holds the per-layer metrics of a traced run. Earlier lines

@@ -1,4 +1,4 @@
-"""Tests of the benchmark's own accounting: FLOP counts, self times, net roles.
+"""Tests of the benchmark's own accounting: FLOP counts, self times, net roles, host-speed correction.
 
 Run from the repository root:  python3 -m pytest perfbench/tests
 """
@@ -13,6 +13,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, os.pardir, "src"))
 sys.path.insert(0, os.path.join(HERE, os.pardir))
 
+import hostclock  # noqa: E402
 import tracing  # noqa: E402
 from mopp import adm, nn, planner, value  # noqa: E402
 
@@ -161,6 +162,31 @@ def test_spans_only_keeps_one_phase():
         tracer.restore()
     assert len(tracer.spans().only("train").names) == 2
     assert len(tracer.spans().only("control").names) == 1
+
+
+def test_host_clock_scales_by_the_probes_around_an_operation():
+    clock = hostclock.HostClock()
+    ref = hostclock.REF_S
+    # Quiet probes before t=10, probes twice as slow after it.
+    for t in np.arange(0.0, 20.0, 0.25):
+        clock.record(t, ref if t < 10.0 else 2 * ref)
+    quiet = hostclock.Interval(start=4.1, end=4.4, seconds=0.3)
+    slow = hostclock.Interval(start=14.1, end=14.4, seconds=0.6)
+    assert clock.corrected(quiet) == pytest.approx(0.3)
+    assert clock.corrected(slow) == pytest.approx(0.3)
+    # Far from every probe, the three nearest (t=19.25 to 19.75, all slow) decide.
+    late = hostclock.Interval(start=30.0, end=31.0, seconds=2.0)
+    assert clock.factor(late) == pytest.approx(0.5)
+
+
+def test_host_clock_leaves_probes_out_of_an_operation():
+    ticks = iter([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    clock = hostclock.HostClock(clock=lambda: next(ticks))
+    clock.probe = lambda: clock.record(clock.clock(), 1.0)
+    mark = clock.start()  # probe at t=0, start at t=1
+    clock.probe()  # a probe inside the operation, at t=2
+    iv = clock.stop(mark)  # stop at t=3
+    assert (iv.start, iv.end, iv.seconds) == (1.0, 3.0, 1.0)
 
 
 if __name__ == "__main__":
