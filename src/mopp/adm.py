@@ -136,20 +136,25 @@ class AdmModel:
         sigma = nn.std_from_raw(out[:, 1], self.sigma_min, self.sigma_max)
         return mu, sigma
 
-    def _propagate(self, x_n: np.ndarray, eps=None):
+    def _propagate(self, x_n: np.ndarray, eps=None, repeats: int = 1):
         """Run the heads in ordering position order, feeding back realizations.
 
         With ``eps`` None each head is conditioned on the preceding means
         (mode propagation); otherwise realization i is mean + std * eps[:, i].
+        Each input row stands for ``repeats`` output rows; the embedding and
+        head 0, which see only the input, run once per input row.
         Returns (values, means, stds), all (batch, output_dim) in position order.
         """
-        batch = x_n.shape[0]
         emb = self._embed(x_n)
-        vals = np.zeros((batch, self.output_dim), dtype=np.float32)
+        head0 = self._head(0, emb, None)
+        if repeats > 1:
+            emb = np.repeat(emb, repeats, axis=0)
+            head0 = tuple(np.repeat(v, repeats) for v in head0)
+        vals = np.zeros((emb.shape[0], self.output_dim), dtype=np.float32)
         mus = np.zeros_like(vals)
         sigmas = np.zeros_like(vals)
         for i in range(self.output_dim):
-            mu, sigma = self._head(i, emb, vals[:, :i])
+            mu, sigma = self._head(i, emb, vals[:, :i]) if i else head0
             mus[:, i] = mu
             sigmas[:, i] = sigma
             vals[:, i] = mu if eps is None else mu + sigma * eps[:, i]
@@ -165,8 +170,9 @@ class AdmModel:
         vals, _, _ = self._propagate(x_n)
         return self._scatter(vals)
 
-    def sample_normalized(self, x_n: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        vals, _, _ = self._propagate(x_n, eps=eps)
+    def sample_normalized(self, x_n: np.ndarray, eps: np.ndarray, repeats: int = 1) -> np.ndarray:
+        """Samples under noise ``eps``, ``repeats`` consecutive ones per row of ``x_n``."""
+        vals, _, _ = self._propagate(x_n, eps=eps, repeats=repeats)
         return self._scatter(vals)
 
     def mean_std_normalized(self, x_n: np.ndarray):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import adm, data, envs, planner, value
 from .config import RunConfig, default_config_text, load_config
-from .errors import ConfigError, MoppError
+from .errors import ConfigError, FormatError, MoppError
 
 
 def _info(args, message: str) -> None:
@@ -102,6 +102,11 @@ def _load_bundle(cfg: RunConfig, out_dir: str):
     _require(beh_dir, "run `mopp train-behavior` first")
     dynamics = adm.load_ensemble(dyn_dir)
     behavior = adm.load_ensemble(beh_dir)
+    for path, ensemble, role in ((dyn_dir, dynamics, "dynamics"), (beh_dir, behavior, "behavior")):
+        if ensemble.role != role:
+            raise FormatError(f"{path}: holds the {ensemble.role!r} ensemble, expected {role!r}")
+    if cfg.use_pruning and dynamics.k < 2:
+        raise ConfigError(f"{dyn_dir}: use_pruning needs >= 2 dynamics members, found {dynamics.k}")
     q = None
     if cfg.use_max_q or cfg.use_value:
         _require(q_dir, "run `mopp train-q` first (or disable use_max_q/use_value)")

@@ -215,6 +215,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("episode counts must be positive")
     if cfg.k1 < 1 or cfg.k2 < 1:
         raise ConfigError("ensemble sizes must be positive")
+    if cfg.use_pruning and cfg.k1 < 2:
+        raise ConfigError(f"use_pruning needs k1 >= 2 dynamics members, got k1 = {cfg.k1}")
     if cfg.ablate_axis not in ("sigma_m", "h", "l"):
         raise ConfigError(f"unknown ablation axis {cfg.ablate_axis!r}")
     bad = [v for v in cfg.ablate_variants if v not in ("full", "noMQ", "noP", "noV")]

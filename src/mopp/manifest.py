@@ -30,8 +30,19 @@ def write_manifest(path, entries: dict) -> None:
         f.writelines(lines)
 
 
-def read_manifest(path) -> dict:
-    entries = {}
+class Manifest(dict):
+    """Manifest entries; looking up a missing key raises a FormatError naming it and the file."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise FormatError(f"{self.path}: missing key {key!r}")
+
+
+def read_manifest(path) -> Manifest:
+    entries = Manifest(path)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()

@@ -25,6 +25,9 @@ SIGMA_MAX = 5.0
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Row block of forward: a 256 x 500 float32 activation (512 KB) stays in L2.
+FORWARD_BLOCK_ROWS = 256
+
 NET_MAGIC = b"MOPPNN1\x00"
 
 
@@ -81,10 +84,10 @@ class DenseNet:
         return dup
 
 
-def activate(z: np.ndarray, kind: str) -> np.ndarray:
+def activate(z: np.ndarray, kind: str, out=None) -> np.ndarray:
     if kind == "relu":
-        return np.maximum(z, 0)
-    return np.tanh(z)
+        return np.maximum(z, 0, out=out)
+    return np.tanh(z, out=out)
 
 
 def activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
@@ -107,14 +110,26 @@ def _as_batch(net: DenseNet, x) -> tuple[np.ndarray, bool]:
 
 
 def forward(net: DenseNet, x) -> np.ndarray:
-    """Evaluate the network on a vector or a batch of row vectors."""
+    """Evaluate the network on a vector or a batch of row vectors.
+
+    Rows go through in blocks that start at multiples of FORWARD_BLOCK_ROWS
+    (a short tail joins the last block), reusing one activation buffer per
+    layer; bias and activation are applied in place.
+    """
     xb, single = _as_batch(net, x)
-    a = xb
-    last = net.n_layers - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        a = z if i == last else activate(z, net.activation)
-    return a[0] if single else a
+    n, last = xb.shape[0], net.n_layers - 1
+    starts = range(0, max(n - FORWARD_BLOCK_ROWS // 2, 1), FORWARD_BLOCK_ROWS)
+    rows = min(n, 2 * FORWARD_BLOCK_ROWS)
+    bufs = [np.empty((rows, w.shape[1]), np.result_type(xb, w)) for w in net.weights[:-1]]
+    out = np.empty((n, net.output_dim), np.result_type(xb, net.weights[-1]))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        a = xb[lo:hi]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            a = np.matmul(a, w, out=out[lo:hi] if i == last else bufs[i][: hi - lo])
+            a += b
+            if i < last:
+                activate(a, net.activation, out=a)
+    return out[0] if single else out
 
 
 def forward_cached(net: DenseNet, x) -> tuple[np.ndarray, tuple]:

@@ -123,23 +123,14 @@ def initial_plan(horizon: int, action_dim: int) -> np.ndarray:
 def scale_std(sigma, sigma_scale: float):
     """Rescale stds so their maximum equals ``sigma_scale``, preserving ratios.
 
-    Degenerate all-but-zero inputs (max below 1e-6) map to a constant
-    ``sigma_scale`` vector.
+    A 2-D array is rescaled row by row. Degenerate all-but-zero rows (max
+    below 1e-6) map to a constant ``sigma_scale`` row.
     """
     if sigma_scale <= 0:
         raise ConfigError("std scaling parameter must be positive")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    top = float(sigma.max())
-    if top < SIGMA_EPS:
-        return np.full_like(sigma, sigma_scale)
-    return sigma * (sigma_scale / top)
-
-
-def _scale_std_rows(sigma: np.ndarray, sigma_scale: float) -> np.ndarray:
-    top = sigma.max(axis=1, keepdims=True)
-    out = np.where(
-        top < SIGMA_EPS, sigma_scale, sigma * (sigma_scale / np.maximum(top, SIGMA_EPS))
-    )
+    sigma = np.asarray(sigma)
+    top = sigma.max(axis=-1, keepdims=True)
+    out = np.where(top < SIGMA_EPS, sigma_scale, sigma * (sigma_scale / np.maximum(top, SIGMA_EPS)))
     return out.astype(np.float64)
 
 
@@ -151,51 +142,31 @@ def guided_action(s, behavior_member, q: Optional[QNetwork], config: PlannerConf
     """
     m = config.candidates if config.use_max_q else 1
     eps = rng.standard_normal((m, behavior_member.output_dim))
-    return _guided_from_eps(np.asarray(s)[None, :], behavior_member, q, config, eps[None])[0]
+    states = np.asarray(s)[None, :]
+    return _guided_actions(states, [behavior_member], np.zeros(1, int), q, config, eps[None])[0]
 
 
-def _guided_from_eps(states, behavior_member, q, config, eps):
-    """Vectorized candidate sampling. eps: (n, m, |A|) pre-drawn normals."""
+def _guided_actions(states, members, member_idx, q, config, eps):
+    """Guided actions for a batch; row r samples from ``members[member_idx[r]]``.
+
+    eps: (n, m, |A|) pre-drawn normals. Each member computes its rows'
+    candidate means and stds; Q does not depend on the member, so one Q call
+    scores the candidates of every row.
+    """
     n, m, a_dim = eps.shape
-    mu, sigma = adm.behavior_action_distribution_batch(behavior_member, states)
-    sigma = _scale_std_rows(sigma, config.sigma_scale)
-    cands = mu[:, None, :] + sigma[:, None, :] * eps
+    states = np.asarray(states, dtype=np.float32)
+    cands = np.empty(eps.shape)
+    for k, member in enumerate(members):
+        rows = np.flatnonzero(member_idx == k)
+        if rows.size:
+            mu, sigma = adm.behavior_action_distribution_batch(member, states[rows])
+            sigma = scale_std(sigma, config.sigma_scale)
+            cands[rows] = mu[:, None, :] + sigma[:, None, :] * eps[rows]
     if not config.use_max_q or q is None or m == 1:
         return cands[:, 0, :].astype(np.float32)
-    flat_states = np.repeat(np.asarray(states, dtype=np.float32), m, axis=0)
-    qv = q.values(flat_states, cands.reshape(n * m, a_dim)).reshape(n, m)
+    qv = q.values(np.repeat(states, m, axis=0), cands.reshape(n * m, a_dim)).reshape(n, m)
     best = np.argmax(qv, axis=1)
     return cands[np.arange(n), best].astype(np.float32)
-
-
-@dataclass
-class _RolloutDraws:
-    """Pre-drawn randomness for one rollout; fixes the per-stream draw order."""
-
-    behavior_members: np.ndarray  # (H,)
-    candidate_eps: np.ndarray  # (H, m_eff, |A|)
-    dynamics_members: np.ndarray  # (H,)
-    value_member: int
-    value_eps: np.ndarray  # (K_Q, |A|)
-
-
-def _draw_rollout(rng, config: PlannerConfig, action_dim: int, k1: int, k2: int):
-    h = config.horizon
-    m_eff = config.candidates if config.use_max_q else 1
-    behavior_members = np.empty(h, dtype=np.int64)
-    candidate_eps = np.empty((h, m_eff, action_dim))
-    dynamics_members = np.empty(h, dtype=np.int64)
-    for t in range(h):
-        behavior_members[t] = rng.integers(k2)
-        candidate_eps[t] = rng.standard_normal((m_eff, action_dim))
-        dynamics_members[t] = rng.integers(k1)
-    value_member = int(rng.integers(k2)) if config.use_value else 0
-    value_eps = (
-        rng.standard_normal((config.value_samples, action_dim))
-        if config.use_value
-        else np.zeros((config.value_samples, action_dim))
-    )
-    return _RolloutDraws(behavior_members, candidate_eps, dynamics_members, value_member, value_eps)
 
 
 def _rollout_batch(
@@ -204,15 +175,20 @@ def _rollout_batch(
     plan: np.ndarray,
     config: PlannerConfig,
     constraints: ConstraintConfig,
-    draws: Sequence[_RolloutDraws],
+    rng,
 ):
-    """Roll ``len(draws)`` trajectories in lockstep through the frozen models.
+    """Roll ``len(start_states)`` trajectories in lockstep through the frozen models.
+
+    Every random quantity comes from ``rng`` as one array each, in this
+    order: behavior members (N, H), candidate normals (N, H, m, |A|) with
+    m = 1 when max-Q selection is off, dynamics members (N, H), and, with
+    the value bonus on, value members (N,) and value normals (N, K_Q, |A|).
 
     Returns (states (n,H,|S|), actions (n,H,|A|), returns (n,), uncertainty (n,H)).
     Rollouts that produce a non-finite quantity are frozen in place and carry
     infinite uncertainty from that step on; their returns stay finite.
     """
-    n = len(draws)
+    n = len(start_states)
     h = config.horizon
     s_dim = bundle.dynamics.output_dim - 1
     a_dim = bundle.behavior.output_dim
@@ -221,29 +197,25 @@ def _rollout_batch(
         raise ValueError(
             f"plan shape {plan.shape} does not match (horizon, action dim) ({h}, {a_dim})"
         )
+    b_members = rng.integers(bundle.behavior.k, size=(n, h))
+    m = config.candidates if config.use_max_q else 1
+    cand_eps = rng.standard_normal((n, h, m, a_dim))
+    d_members = rng.integers(bundle.dynamics.k, size=(n, h))
+
     states = np.zeros((n, h, s_dim), dtype=np.float32)
     actions = np.zeros((n, h, a_dim), dtype=np.float32)
     returns = np.zeros(n, dtype=np.float64)
     uncertainty = np.zeros((n, h), dtype=np.float64)
     alive = np.ones(n, dtype=bool)
 
-    b_members = np.stack([d.behavior_members for d in draws])  # (n, H)
-    d_members = np.stack([d.dynamics_members for d in draws])
-    cand_eps = np.stack([d.candidate_eps for d in draws])  # (n, H, m, |A|)
-
     current = np.array(start_states, dtype=np.float32)
     for t in range(h):
         a_hat = np.zeros((n, a_dim), dtype=np.float32)
-        for k in range(bundle.behavior.k):
-            rows = np.flatnonzero(alive & (b_members[:, t] == k))
-            if rows.size == 0:
-                continue
-            a_hat[rows] = _guided_from_eps(
-                current[rows],
-                bundle.behavior.members[k],
-                bundle.q,
-                config,
-                cand_eps[rows, t],
+        live = np.flatnonzero(alive)
+        if live.size:
+            a_hat[live] = _guided_actions(
+                current[live], bundle.behavior.members, b_members[live, t], bundle.q, config,
+                cand_eps[live, t],
             )
         prev = plan[t + 1] if t + 1 < h else plan[h - 1]
         a_mix = ((1.0 - config.beta) * a_hat + config.beta * prev).astype(np.float32)
@@ -285,25 +257,26 @@ def _rollout_batch(
             current[live[ok]] = next_states[ok].astype(np.float32)
             alive[live[~ok]] = False
 
-    if config.use_value and bundle.q is not None:
-        v_members = np.array([d.value_member for d in draws])
-        v_eps = np.stack([d.value_eps for d in draws])  # (n, K_Q, |A|)
-        k_q = config.value_samples
-        for k in range(bundle.behavior.k):
-            rows = np.flatnonzero(alive & (v_members == k))
-            if rows.size == 0:
-                continue
-            member = bundle.behavior.members[k]
-            s_h = current[rows]
-            x_n = member.normalize_x(s_h)
-            x_rep = np.repeat(x_n, k_q, axis=0)
-            sampled = member.denormalize_o(
-                member.sample_normalized(x_rep, v_eps[rows].reshape(rows.size * k_q, a_dim))
-            )
-            qv = bundle.q.values(np.repeat(s_h, k_q, axis=0), sampled)
-            v = qv.reshape(rows.size, k_q).mean(axis=1)
-            good = np.isfinite(v)
-            returns[rows[good]] += v[good]
+    if config.use_value:
+        v_members = rng.integers(bundle.behavior.k, size=n)
+        v_eps = rng.standard_normal((n, config.value_samples, a_dim))
+        live = np.flatnonzero(alive)
+        if bundle.q is not None and live.size:
+            # K_Q actions per live rollout from its value member; the samples of
+            # one state share its embedding and head-0 pass, one Q call scores all
+            k_q = config.value_samples
+            sampled = np.empty((live.size, k_q, a_dim), dtype=np.float32)
+            for k, member in enumerate(bundle.behavior.members):
+                rows = np.flatnonzero(v_members[live] == k)
+                if rows.size:
+                    x_n = member.normalize_x(current[live[rows]])
+                    eps = v_eps[live[rows]].reshape(rows.size * k_q, a_dim)
+                    sampled[rows] = member.denormalize_o(
+                        member.sample_normalized(x_n, eps, repeats=k_q)
+                    ).reshape(rows.size, k_q, a_dim)
+            qv = bundle.q.values(np.repeat(current[live], k_q, axis=0), sampled.reshape(-1, a_dim))
+            v = qv.reshape(live.size, k_q).mean(axis=1)
+            returns[live] += np.where(np.isfinite(v), v, 0.0)
     return states, actions, returns, uncertainty
 
 
@@ -315,18 +288,12 @@ def rollout(
     constraints: ConstraintConfig,
     rng,
 ):
-    """Roll a single guided trajectory; returns (Trajectory, uncertainty row)."""
-    draws = _draw_rollout(
-        rng, config, bundle.behavior.output_dim, bundle.dynamics.k, bundle.behavior.k
-    )
-    states, actions, returns, u = _rollout_batch(
-        np.asarray(start_state, dtype=np.float32)[None, :],
-        bundle,
-        plan,
-        config,
-        constraints,
-        [draws],
-    )
+    """Roll a single guided trajectory; returns (Trajectory, uncertainty row).
+
+    This is :func:`plan_step`'s rollout batch at N = 1, drawing from ``rng``.
+    """
+    start = np.asarray(start_state, dtype=np.float32)[None, :]
+    states, actions, returns, u = _rollout_batch(start, bundle, plan, config, constraints, rng)
     return Trajectory(states[0], actions[0], float(returns[0])), u[0]
 
 
@@ -392,26 +359,18 @@ def plan_step(
 ):
     """One MPC step: shoot N rollouts, prune, re-weight; execute the plan head.
 
-    ``seed`` (an int or tuple of ints) determines every random draw; rollout
-    n uses its own stream keyed by (seed..., n), so results do not depend on
-    evaluation order. Returns (action, updated plan, diagnostics).
+    ``seed`` (an int or tuple of ints) determines every random draw: one
+    Generator keyed by the seed draws each random quantity of all N
+    rollouts as one array (see :func:`_rollout_batch` for the layout), so
+    results do not depend on the order in which rollouts are evaluated.
+    Returns (action, updated plan, diagnostics).
     """
     seed_key = [int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
-    draws = [
-        _draw_rollout(
-            np.random.default_rng(seed_key + [n]),
-            config,
-            bundle.behavior.output_dim,
-            bundle.dynamics.k,
-            bundle.behavior.k,
-        )
-        for n in range(config.n_rollouts)
-    ]
     starts = np.broadcast_to(
         np.asarray(state, dtype=np.float32), (config.n_rollouts, len(state))
     )
     states, actions, returns, u = _rollout_batch(
-        starts, bundle, plan, config, constraints, draws
+        starts, bundle, plan, config, constraints, np.random.default_rng(seed_key)
     )
     if config.use_pruning:
         keep = prune_indices(u, config.uncertainty_threshold, config.n_min)

@@ -168,6 +168,24 @@ def test_sample_mean_matches_head_mean_1d():
     assert abs(draws.mean() - params.mean[0]) < 3 * se
 
 
+@pytest.mark.parametrize("embed, hidden, unique", [(500, (200, 100), 34), (16, (16, 8), 7), (16, (16, 8), 1)])
+def test_sample_with_repeats_matches_repeated_rows(embed, hidden, unique):
+    # the value tail's shape: K_Q samples per state; the embedding and head 0
+    # run once per state instead of once per sample
+    k_q = 10
+    model = adm.AdmModel(4, 3, [1, 2, 0], identity_stats(4, 3), embed_width=embed, head_hidden=hidden, rng=4)
+    rng = np.random.default_rng(12)
+    x_n = rng.normal(size=(unique, 4)).astype(np.float32)
+    eps = rng.standard_normal((unique * k_q, 3))
+    got = model.sample_normalized(x_n, eps, repeats=k_q)
+    want = model.sample_normalized(np.repeat(x_n, k_q, axis=0), eps)
+    assert got.shape == want.shape == (unique * k_q, 3)
+    # same arithmetic per row; BLAS may round a GEMM of 34 rows differently
+    # from one of 340, so compare within a few float32 ulps
+    tol = 64 * np.finfo(np.float32).eps
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
 def test_behavior_distribution_single_dim_equals_head():
     model = adm.AdmModel(3, 1, [0], identity_stats(3, 1), embed_width=16, head_hidden=(8,), rng=1)
     s = np.array([0.2, 0.4, -0.6], np.float32)

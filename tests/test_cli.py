@@ -1,11 +1,12 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from mopp import cli, data
+from mopp import adm, cli, data, value
 from mopp.config import RunConfig, default_config_text, load_config
-from mopp.errors import ConfigError
+from mopp.errors import ConfigError, FormatError
 
 TINY_CONFIG = """\
 [run]
@@ -232,3 +233,51 @@ def test_seed_failure_marks_partial_results(pipeline_dir, monkeypatch, capsys):
     # restore a clean results.csv for later tests
     monkeypatch.undo()
     assert cli.main(["evaluate", *base]) == 0
+
+
+def test_pruning_with_one_dynamics_member_is_config_error(pipeline_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace("k1 = 2", "k1 = 1"))
+    code = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "k1" in err and "use_pruning" in err
+    assert "Traceback" not in err
+    # a one-member ensemble trained without pruning, then loaded with it on
+    out, _ = pipeline_dir
+    one = TINY_CONFIG.replace("dataset = data.ds", "dataset = data.ds\ndynamics_dir = dyn_one")
+    cfg_path.write_text(one.replace("k1 = 2", "k1 = 1").replace("l = auto", "l = auto\nuse_pruning = false"))
+    assert cli.main(["train-dynamics", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    cfg_path.write_text(one)
+    code = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dyn_one" in err and "use_pruning" in err
+
+
+def test_swapped_role_directories_are_format_errors(pipeline_dir, tmp_path, capsys):
+    out, _ = pipeline_dir
+    cfg_path = tmp_path / "swapped.cfg"
+    cfg_path.write_text(
+        TINY_CONFIG.replace("dataset = data.ds", "dataset = data.ds\ndynamics_dir = behavior\nbehavior_dir = dynamics")
+    )
+    code = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(out / "behavior") in err
+    assert "'behavior'" in err and "'dynamics'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("directory, key", [("dynamics", "embed_width"), ("q", "y_std")])
+def test_manifest_missing_key_names_key_and_file(pipeline_dir, tmp_path, directory, key):
+    out, _ = pipeline_dir
+    copy = tmp_path / directory
+    shutil.copytree(out / directory, copy)
+    manifest = copy / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.startswith(f"{key} =")))
+    load = value.load_q if directory == "q" else adm.load_ensemble
+    with pytest.raises(FormatError, match=key) as info:
+        load(copy)
+    assert str(manifest) in str(info.value)

@@ -82,6 +82,39 @@ def test_forward_deterministic_bitwise():
     assert a.tobytes() == b.tobytes()
 
 
+def layer_loop_forward(net, x):
+    """Unblocked reference: one ``a @ w + b`` product per layer over every row."""
+    a = np.asarray(x, dtype=net.dtype)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        a = z if i == net.n_layers - 1 else nn.activate(z, net.activation)
+    return a
+
+
+@pytest.mark.parametrize("sizes", [[7, 500, 500, 1], [502, 200, 100, 2]])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_forward_matches_layer_loop(sizes, activation, dtype):
+    net = nn.DenseNet(sizes, activation=activation, rng=5, dtype=dtype)
+    rng = np.random.default_rng(6)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(size=(1500, sizes[0])).astype(dtype)
+    # up to 1.5 blocks run as one block: the very same products
+    np.testing.assert_array_equal(nn.forward(net, x[:383]), layer_loop_forward(net, x[:383]))
+    # five blocks: BLAS may split and round a 256-row product differently
+    # from a 1500-row one (thread partition, kernel choice), within a few ulps
+    got = nn.forward(net, x)
+    assert got.dtype == dtype
+    tol = 64 * np.finfo(dtype).eps
+    np.testing.assert_allclose(got, layer_loop_forward(net, x), rtol=tol, atol=tol)
+
+
+def test_forward_empty_batch():
+    net = nn.DenseNet([3, 5, 2], rng=0)
+    assert nn.forward(net, np.zeros((0, 3))).shape == (0, 2)
+
+
 def test_param_count_formula():
     sizes = [4, 10, 7, 2]
     net = nn.DenseNet(sizes, rng=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopp import adm, nn, planner
+from mopp import adm, nn, planner, value
 from mopp.errors import ConfigError
 from mopp.planner import (
     ConstraintConfig,
@@ -63,6 +63,33 @@ class StubQ:
 
     def values(self, states, actions):
         return np.asarray(self.fn(np.asarray(states), np.asarray(actions)), dtype=np.float64)
+
+
+def draw_layout(rng, cfg, n, action_dim, k1, k2):
+    """Every random array of n rollouts, drawn in the planner's documented order."""
+    m = cfg.candidates if cfg.use_max_q else 1
+    arrays = [
+        rng.integers(k2, size=(n, cfg.horizon)),  # behavior members
+        rng.standard_normal((n, cfg.horizon, m, action_dim)),  # candidate eps
+        rng.integers(k1, size=(n, cfg.horizon)),  # dynamics members
+    ]
+    if cfg.use_value:
+        arrays.append(rng.integers(k2, size=n))  # value member
+        arrays.append(rng.standard_normal((n, cfg.value_samples, action_dim)))  # value eps
+    return arrays
+
+
+class RowReplay:
+    """Stands in for a Generator: hands out row ``i`` of pre-drawn arrays, in draw order."""
+
+    def __init__(self, arrays, i):
+        self._rows = iter([a[i : i + 1] for a in arrays])
+
+    def integers(self, high, size):
+        return next(self._rows).reshape(size)
+
+    def standard_normal(self, shape):
+        return next(self._rows).reshape(shape)
 
 
 # --- scale_std ---
@@ -131,6 +158,36 @@ def test_guided_action_invariant_under_monotone_q_transform():
     a1 = planner.guided_action(s, member, base, cfg, np.random.default_rng(4))
     a2 = planner.guided_action(s, member, mono, cfg, np.random.default_rng(4))
     np.testing.assert_array_equal(a1, a2)
+
+
+def guided_from_eps_per_member(states, member, q, cfg, eps):
+    """Oracle: one member's candidates for every row, scored by a Q call of its own."""
+    n, m, a_dim = eps.shape
+    mu, sigma = adm.behavior_action_distribution_batch(member, states)
+    sigma = sigma.astype(np.float64) * (cfg.sigma_scale / sigma.max(axis=1, keepdims=True))
+    cands = mu[:, None, :] + sigma[:, None, :] * eps
+    if not cfg.use_max_q or q is None or m == 1:
+        return cands[:, 0, :].astype(np.float32)
+    qv = q.values(np.repeat(states, m, axis=0), cands.reshape(n * m, a_dim)).reshape(n, m)
+    return cands[np.arange(n), np.argmax(qv, axis=1)].astype(np.float32)
+
+
+@pytest.mark.parametrize("use_max_q", [True, False])
+def test_merged_q_guided_actions_match_per_member_oracle(use_max_q):
+    members = [random_model(3, 2, rng=j, sigma_raw=0.0) for j in (11, 12, 13)]
+    q = StubQ(lambda s, a: np.sin(3.0 * a[:, 0]) + a[:, 1] * s[:, 0])
+    cfg = PlannerConfig(horizon=1, candidates=6, sigma_scale=0.7, n_rollouts=1, use_max_q=use_max_q)
+    rng = np.random.default_rng(5)
+    n = 40
+    states = rng.normal(size=(n, 3)).astype(np.float32)
+    member_idx = rng.integers(3, size=n)
+    eps = rng.standard_normal((n, cfg.candidates if use_max_q else 1, 2))
+    got = planner._guided_actions(states, members, member_idx, q, cfg, eps)
+    want = np.zeros((n, 2), np.float32)
+    for k, member in enumerate(members):
+        rows = np.flatnonzero(member_idx == k)
+        want[rows] = guided_from_eps_per_member(states[rows], member, q, cfg, eps[rows])
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
 
 # --- rollout ---
@@ -214,11 +271,11 @@ def test_rollout_value_bonus_matches_v_estimate_replay():
     base_traj, _ = planner.rollout(
         np.zeros(3, np.float32), bundle, planner.initial_plan(2, 2), cfg_no_v, NO_C, np.random.default_rng(77)
     )
-    # replay the exact draw order: per step (member, eps, member), then value draws
-    for _ in range(2):
-        replay.integers(2)
-        replay.standard_normal((1, 2))
-        replay.integers(2)
+    # replay the exact draw layout at N = 1: behavior members (1, H), eps
+    # (1, H, 1, |A|), dynamics members (1, H), then the value draws
+    replay.integers(2, size=(1, 2))
+    replay.standard_normal((1, 2, 1, 2))
+    replay.integers(2, size=(1, 2))
     s_h = np.full(3, 0.1, np.float32)  # constant drift lands every state at 0.1
     bonus = value_mod.v_estimate(q, bundle.behavior, s_h, 6, replay)
     assert traj.ret == pytest.approx(base_traj.ret + bonus, rel=1e-6)
@@ -348,9 +405,12 @@ def test_plan_step_equals_manual_composition():
     plan0 = planner.initial_plan(3, 2)
     action, new_plan, diag = planner.plan_step(state, bundle, cfg, NO_C, plan0, seed=(17, 3))
 
+    # one Generator keyed by the seed draws every rollout's randomness as
+    # arrays; rollout n replays row n of them through the N = 1 path
+    draws = draw_layout(np.random.default_rng([17, 3]), cfg, cfg.n_rollouts, 2, 2, 2)
     trajs, us = [], []
     for n in range(cfg.n_rollouts):
-        t, u = planner.rollout(state, bundle, plan0, cfg, NO_C, np.random.default_rng([17, 3, n]))
+        t, u = planner.rollout(state, bundle, plan0, cfg, NO_C, RowReplay(draws, n))
         trajs.append(t)
         us.append(u)
     us = np.stack(us)
@@ -361,6 +421,27 @@ def test_plan_step_equals_manual_composition():
     np.testing.assert_allclose(new_plan, manual_plan, atol=1e-6)
     np.testing.assert_allclose(action, manual_plan[0], atol=1e-6)
     assert diag.surviving == len(keep)
+
+
+def test_plan_step_calls_q_once_per_horizon_step_and_once_for_the_tail(monkeypatch):
+    # default planner shape with 3 behavior members: a per-member Q call
+    # would make (H + 1) * k2 = 15 calls instead of H + 1 = 5
+    bundle = toy_bundle(k1=3)
+    bmodels = [random_model(3, 2, rng=j) for j in range(3)]
+    bundle.behavior = adm.AdmEnsemble(members=bmodels, role="behavior", stats=bmodels[0].stats)
+    bundle.q = value.QNetwork(nn.DenseNet([5, 16, 1], rng=0), np.zeros(5), np.ones(5))
+    cfg = PlannerConfig()
+    calls = []
+    real = value.QNetwork.values
+
+    def counting(self, states, actions):
+        calls.append(len(states))
+        return real(self, states, actions)
+
+    monkeypatch.setattr(value.QNetwork, "values", counting)
+    planner.plan_step(np.zeros(3, np.float32), bundle, cfg, NO_C, planner.initial_plan(4, 2), seed=1)
+    n, m, k_q = cfg.n_rollouts, cfg.candidates, cfg.value_samples
+    assert calls == [n * m] * cfg.horizon + [n * k_q]
 
 
 def test_plan_step_deterministic():
@@ -530,17 +611,17 @@ def test_all_toggles_off_degrades_to_behavior_guided_mppi():
     plan0 = planner.initial_plan(3, 2)
     _, got_plan, _ = planner.plan_step(state, bundle, cfg, NO_C, plan0, seed=31)
 
+    b_members, cand_eps, d_members = draw_layout(np.random.default_rng(31), cfg, cfg.n_rollouts, 2, 2, 2)
     all_actions, all_returns = [], []
     for n in range(cfg.n_rollouts):
-        rng = np.random.default_rng([31, n])
         s = state.copy()
         acts, ret = [], 0.0
         for t in range(cfg.horizon):
-            member = behavior.members[int(rng.integers(2))]
-            eps = rng.standard_normal((1, 2))
+            member = behavior.members[b_members[n, t]]
+            eps = cand_eps[n, t]
             mu, sigma = adm.behavior_action_distribution(member, s)
             a = (mu + planner.scale_std(sigma, cfg.sigma_scale) * eps[0]).astype(np.float32)
-            l_prime = int(rng.integers(2))
+            l_prime = d_members[n, t]
             preds = [adm.adm_mode(m, np.concatenate([s, a])) for m in dynamics.members]
             ret += float(np.mean([p[0] for p in preds]))
             acts.append(a)
