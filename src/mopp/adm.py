@@ -427,26 +427,31 @@ def load_ensemble(directory) -> AdmEnsemble:
         raise FormatError(f"{directory}: missing manifest.txt")
     entries = read_manifest(path)
     stats = NormStats(
-        x_mean=parse_floats(entries["x_mean"]),
-        x_std=parse_floats(entries["x_std"]),
-        o_mean=parse_floats(entries["o_mean"]),
-        o_std=parse_floats(entries["o_std"]),
+        x_mean=entries.parse("x_mean", parse_floats),
+        x_std=entries.parse("x_std", parse_floats),
+        o_mean=entries.parse("o_mean", parse_floats),
+        o_std=entries.parse("o_std", parse_floats),
     )
-    k = int(entries["k"])
+    k = entries.parse("k", int)
+    if k < 1:
+        raise FormatError(f"{path}: key 'k' must be a positive member count, got {k}")
     members = []
     for j in range(k):
-        model = AdmModel(
-            int(entries["input_dim"]),
-            int(entries["output_dim"]),
-            parse_ints(entries[f"ordering_{j}"]),
-            stats,
-            embed_width=int(entries["embed_width"]),
-            head_hidden=tuple(parse_ints(entries["head_hidden"])),
-            activation=entries["activation"],
-            sigma_min=float(entries["sigma_min"]),
-            sigma_max=float(entries["sigma_max"]),
-            rng=0,
-        )
+        try:
+            model = AdmModel(
+                entries.parse("input_dim", int),
+                entries.parse("output_dim", int),
+                entries.parse(f"ordering_{j}", parse_ints),
+                stats,
+                embed_width=entries.parse("embed_width", int),
+                head_hidden=tuple(entries.parse("head_hidden", parse_ints)),
+                activation=entries["activation"],
+                sigma_min=entries.parse("sigma_min", float),
+                sigma_max=entries.parse("sigma_max", float),
+                rng=0,
+            )
+        except ValueError as err:  # sizes or activation the nets reject
+            raise FormatError(f"{path}: {err}") from None
         model.embed_net = nn.load_net(os.path.join(directory, f"member_{j:03d}_embed.nn"))
         model.heads = [
             nn.load_net(os.path.join(directory, f"member_{j:03d}_head_{i:02d}.nn"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -110,24 +112,43 @@ class Dataset:
 
 
 def generate_dataset(env, policy, episodes: int, seed: int = 0) -> Dataset:
-    """Roll whole episodes with ``policy`` and record every transition."""
+    """Roll ``episodes`` whole episodes with ``policy`` and record every transition.
+
+    Every episode lasts exactly ``env.spec.max_steps`` steps, the env's only
+    ``done`` rule, so all episodes are stepped together: each step is one
+    ``env.transition`` over every episode's state. Episode ``ep`` starts from
+    ``env.reset(seed=[seed, ep])``. ``policy`` is a :class:`~mopp.envs.ScriptedPolicy`;
+    its draws for all episodes are taken up front in episode-major order,
+    which is the stream a one-episode-at-a-time loop of per-state calls would
+    consume, so the dataset is bit-identical to that loop's. Transitions are
+    stored episode by episode.
+    """
     if episodes < 1:
         raise DataError("need at least one episode")
-    states, actions, rewards, next_states, dones, ep_ids = [], [], [], [], [], []
-    for ep in range(episodes):
-        s = env.reset(seed=[seed, ep])
-        done = False
-        while not done:
-            a = np.clip(policy(s), env.spec.action_low, env.spec.action_high)
-            s_next, r, done = env.step(a)
-            states.append(s.astype(np.float32))
-            actions.append(np.asarray(a, dtype=np.float32))
-            rewards.append(r)
-            next_states.append(s_next.astype(np.float32))
-            dones.append(done)
-            ep_ids.append(ep)
-            s = s_next
-    return Dataset(states, actions, rewards, next_states, dones, ep_ids)
+    spec = env.spec
+    steps = spec.max_steps
+    if steps < 1:
+        raise DataError(f"episodes need at least one step, got max_steps = {steps}")
+    draws = policy.draw((episodes, steps))
+    traj = np.empty((episodes, steps + 1, spec.state_dim))
+    traj[:, 0] = [env.reset(seed=[seed, ep]) for ep in range(episodes)]
+    actions = np.empty((episodes, steps, spec.action_dim))
+    rewards = np.empty((episodes, steps))
+    for t in range(steps):
+        a = np.clip(policy.act(traj[:, t], draws[:, t]), spec.action_low, spec.action_high)
+        actions[:, t] = a
+        traj[:, t + 1], rewards[:, t] = env.transition(traj[:, t], a)
+    dones = np.zeros((episodes, steps), dtype=bool)
+    dones[:, -1] = True
+    n = episodes * steps
+    return Dataset(
+        traj[:, :-1].reshape(n, spec.state_dim),
+        actions.reshape(n, spec.action_dim),
+        rewards.reshape(n),
+        traj[:, 1:].reshape(n, spec.state_dim),
+        dones.reshape(n),
+        np.repeat(np.arange(episodes), steps),
+    )
 
 
 def mix(datasets, ratios) -> Dataset:
@@ -193,6 +214,13 @@ def _record_dtype(state_dim: int, action_dim: int) -> np.dtype:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` to ``path`` crash-safe.
+
+    The records go to a temp file in the same directory, which is synced and
+    then moved over ``path`` with ``os.replace``, so ``path`` always holds a
+    whole dataset: the old one or the new one. A failed write removes the
+    temp file.
+    """
     rec = np.zeros(len(dataset), dtype=_record_dtype(dataset.state_dim, dataset.action_dim))
     rec["s"] = dataset.states
     rec["a"] = dataset.actions
@@ -200,18 +228,28 @@ def save_dataset(dataset: Dataset, path) -> None:
     rec["sn"] = dataset.next_states
     rec["done"] = dataset.dones.astype(np.uint8)
     rec["ep"] = dataset.episode_ids
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(
-            _HEADER.pack(
-                DATASET_VERSION,
-                dataset.state_dim,
-                dataset.action_dim,
-                len(dataset),
-                dataset.n_episodes,
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(DATASET_MAGIC)
+            f.write(
+                _HEADER.pack(
+                    DATASET_VERSION,
+                    dataset.state_dim,
+                    dataset.action_dim,
+                    len(dataset),
+                    dataset.n_episodes,
+                )
             )
-        )
-        f.write(rec.tobytes())
+            f.write(rec.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_dataset(path) -> Dataset:

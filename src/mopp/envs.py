@@ -32,6 +32,15 @@ class EnvSpec:
     constrained: bool = False
 
 
+def _row_dot(u: np.ndarray) -> np.ndarray:
+    """``u . u`` over the last axis through BLAS dot, as ``u @ u`` computes it.
+
+    An elementwise ``(u * u).sum(-1)`` rounds differently from BLAS dot in
+    the last bit, which would change the rewards of stored datasets.
+    """
+    return (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+
+
 class PointMassEnv:
     """Double integrator: state (x, y, vx, vy), action (ax, ay) in [-1, 1]^2.
 
@@ -61,15 +70,24 @@ class PointMassEnv:
         self._t = 0
         return self._state.copy()
 
+    def transition(self, states, actions):
+        """One step of the dynamics for ``(..., |S|)`` states and ``(..., |A|)`` actions.
+
+        Stateless and shape-polymorphic: returns the ``(..., |S|)`` next states
+        and the ``(...)`` rewards. :meth:`step` is its single-row case.
+        """
+        s = np.asarray(states, dtype=np.float64)
+        a = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+        pos = s[..., :2] + DT * s[..., 2:]
+        vel = np.clip(s[..., 2:] + DT * a, -VEL_LIMIT, VEL_LIMIT)
+        reward = -np.sqrt(_row_dot(pos - GOAL)) - ACTION_COST * _row_dot(a)
+        return np.concatenate([pos, vel], axis=-1), reward
+
     def step(self, action):
-        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        pos = self._state[:2] + DT * self._state[2:]
-        vel = np.clip(self._state[2:] + DT * a, -VEL_LIMIT, VEL_LIMIT)
-        self._state = np.concatenate([pos, vel])
+        self._state, reward = self.transition(self._state, action)
         self._t += 1
-        reward = -float(np.linalg.norm(pos - GOAL)) - ACTION_COST * float(a @ a)
         done = self._t >= self.spec.max_steps
-        return self._state.copy(), reward, done
+        return self._state.copy(), float(reward), done
 
     def violation(self, state, action) -> bool:
         """Constraint predicate: x-velocity above the cap (never for the base env)."""
@@ -109,29 +127,52 @@ _POLICY_PARAMS = {
 }
 
 
-def scripted_policy(quality: str, env: PointMassEnv, seed: int) -> Callable:
-    """Data-generating policy of graded quality; deterministic given the seed."""
+@dataclass(frozen=True)
+class ScriptedPolicy:
+    """A data-generating policy split into its random draw and its action law.
+
+    ``draw(shape)`` takes ``(*shape, |A|)`` values from the policy's Generator,
+    and ``act(states, draws)`` maps ``(..., |S|)`` states and matching draws to
+    actions. Calling the policy on one state is ``act(state, draw(()))``. A
+    numpy Generator's bulk draw is bit-identical to the same values drawn one
+    call at a time, so ``draw((episodes, steps))`` consumes exactly the stream
+    that per-state calls, made episode by episode, would.
+    """
+
+    draw: Callable
+    act: Callable
+
+    def __call__(self, state):
+        return self.act(state, self.draw(()))
+
+
+def scripted_policy(quality: str, env: PointMassEnv, seed: int) -> ScriptedPolicy:
+    """Data-generating policy of graded quality; deterministic given the seed.
+
+    ``random`` draws actions uniformly from the action box. ``medium`` and
+    ``expert`` apply a PD law toward the goal plus Gaussian noise, clipped to
+    the box. The returned policy is called on one state, or split into its
+    draw and action law for batches (see :class:`ScriptedPolicy`).
+    """
     rng = np.random.default_rng(seed)
     low = env.spec.action_low.astype(np.float64)
     high = env.spec.action_high.astype(np.float64)
 
     if quality == "random":
-
-        def policy(state):
-            return rng.uniform(low, high)
-
-        return policy
+        return ScriptedPolicy(
+            draw=lambda shape: rng.uniform(low, high, size=(*shape, len(low))),
+            act=lambda states, draws: draws,
+        )
 
     if quality not in _POLICY_PARAMS:
         raise ValueError(f"unknown policy quality {quality!r}")
     kp, kd, noise = _POLICY_PARAMS[quality]
 
-    def policy(state):
-        a = kp * (GOAL - state[:2]) - kd * state[2:]
-        a = a + rng.normal(0.0, noise, size=2)
-        return np.clip(a, low, high)
+    def act(states, draws):
+        s = np.asarray(states)
+        return np.clip(kp * (GOAL - s[..., :2]) - kd * s[..., 2:] + draws, low, high)
 
-    return policy
+    return ScriptedPolicy(draw=lambda shape: rng.normal(0.0, noise, size=(*shape, len(low))), act=act)
 
 
 # --- planning-time constraint hooks (state layout: x, y, vx, vy) ---

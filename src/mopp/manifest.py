@@ -40,6 +40,13 @@ class Manifest(dict):
     def __missing__(self, key):
         raise FormatError(f"{self.path}: missing key {key!r}")
 
+    def parse(self, key, convert):
+        """``convert(self[key])``; a value it rejects raises a FormatError naming the key and the file."""
+        try:
+            return convert(self[key])
+        except ValueError as err:
+            raise FormatError(f"{self.path}: bad value for key {key!r}: {err}") from None
+
 
 def read_manifest(path) -> Manifest:
     entries = Manifest(path)

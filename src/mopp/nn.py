@@ -348,8 +348,11 @@ def save_net(net: DenseNet, path) -> None:
 
 def load_net(path) -> DenseNet:
     """Read a checkpoint written by :func:`save_net`. Round trip is bit-exact."""
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as err:
+        raise FormatError(f"{path}: cannot read net file ({err.strerror})") from None
     if data[:8] != NET_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     off = 8

@@ -132,10 +132,11 @@ def fqe_train(dataset: Dataset, config: FqeConfig, seed: int = 0) -> QNetwork:
                 )
             nn.adam_update(params, grads, opt)
         q.y_mean, q.y_std = y_mean, y_std
-        q_all = q.values_flat(x)
-        if prev_q_all is not None:
-            q.iteration_deltas.append(float(np.max(np.abs(q_all - prev_q_all))))
-        prev_q_all = q_all
+        if config.iterations > 1:  # a single iteration has no delta to report
+            q_all = q.values_flat(x)
+            if prev_q_all is not None:
+                q.iteration_deltas.append(float(np.max(np.abs(q_all - prev_q_all))))
+            prev_q_all = q_all
     return q
 
 
@@ -179,8 +180,8 @@ def load_q(directory) -> QNetwork:
     net = nn.load_net(os.path.join(directory, "q.nn"))
     return QNetwork(
         net,
-        parse_floats(entries["x_mean"]),
-        parse_floats(entries["x_std"]),
-        float(entries["y_mean"]),
-        float(entries["y_std"]),
+        entries.parse("x_mean", parse_floats),
+        entries.parse("x_std", parse_floats),
+        entries.parse("y_mean", float),
+        entries.parse("y_std", float),
     )

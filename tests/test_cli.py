@@ -281,3 +281,23 @@ def test_manifest_missing_key_names_key_and_file(pipeline_dir, tmp_path, directo
     with pytest.raises(FormatError, match=key) as info:
         load(copy)
     assert str(manifest) in str(info.value)
+
+
+@pytest.mark.parametrize("edit", ["k = two", "k = -1", "activation = swish", "delete q.nn"])
+def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_path, capsys, edit):
+    out, _ = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    if edit == "delete q.nn":
+        broken, needles = copy / "q" / "q.nn", ("q.nn",)
+        broken.unlink()
+    else:
+        key, _, bad = edit.partition(" = ")
+        broken, needles = copy / "dynamics" / "manifest.txt", (key, bad)
+        lines = broken.read_text().splitlines(keepends=True)
+        broken.write_text("".join(f"{edit}\n" if line.startswith(f"{key} =") else line for line in lines))
+    code = cli.main(["evaluate", "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(broken) in err and all(needle in err for needle in needles)
+    assert "Traceback" not in err

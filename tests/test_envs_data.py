@@ -5,6 +5,25 @@ from mopp import data, envs
 from mopp.errors import DataError, FormatError
 
 
+def generate_dataset_loop(env, policy, episodes, seed):
+    """Oracle for lockstep generation: one episode at a time, one env.step and policy call per transition."""
+    states, actions, rewards, next_states, dones, ep_ids = [], [], [], [], [], []
+    for ep in range(episodes):
+        s = env.reset(seed=[seed, ep])
+        done = False
+        while not done:
+            a = np.clip(policy(s), env.spec.action_low, env.spec.action_high)
+            s_next, r, done = env.step(a)
+            states.append(s.astype(np.float32))
+            actions.append(np.asarray(a, dtype=np.float32))
+            rewards.append(r)
+            next_states.append(s_next.astype(np.float32))
+            dones.append(done)
+            ep_ids.append(ep)
+            s = s_next
+    return data.Dataset(states, actions, rewards, next_states, dones, ep_ids)
+
+
 def rollout_returns(env, policy, episodes, seed):
     out = []
     for ep in range(episodes):
@@ -81,6 +100,23 @@ def test_episode_ends_at_step_cap():
     assert flags == [False] * 6 + [True]
 
 
+def test_batched_transition_equals_row_by_row_step():
+    rng = np.random.default_rng(11)
+    states = rng.normal(0.0, 2.0, size=(5, 7, 4))
+    states[0, :, 2:] = rng.choice([-3.0, 3.0, 2.99], size=(7, 2))  # at the velocity limit
+    actions = rng.normal(0.0, 1.5, size=(5, 7, 2))  # partly outside the action box
+    env = envs.pointmass_constrained_env()
+    next_states, rewards = env.transition(states, actions)
+    assert next_states.shape == states.shape and rewards.shape == (5, 7)
+    for i in np.ndindex(5, 7):
+        env._state = states[i].copy()
+        s_next, r, _ = env.step(actions[i])
+        np.testing.assert_array_equal(next_states[i], s_next)
+        assert rewards[i] == r
+        a = np.clip(actions[i], -1.0, 1.0)  # the reward as a 1-D step writes it, to the bit
+        assert r == -float(np.linalg.norm(s_next[:2] - envs.GOAL)) - envs.ACTION_COST * float(a @ a)
+
+
 def test_constrained_env_violation_predicate():
     env = envs.pointmass_constrained_env(v_cap=1.5)
     assert not env.violation(np.array([0, 0, 1.4, 0.0]), np.zeros(2))
@@ -127,6 +163,16 @@ def test_policy_quality_ordering_with_margin():
     assert means["medium"] - means["random"] >= 0.2 * gap
 
 
+@pytest.mark.parametrize("quality", ["random", "medium", "expert"])
+def test_policy_calls_equal_draw_act_split(quality):
+    env = envs.pointmass_env()
+    states = np.random.default_rng(2).normal(0.0, 1.0, size=(3, 5, 4))
+    per_state = envs.scripted_policy(quality, env, seed=8)
+    calls = np.array([[per_state(s) for s in row] for row in states])
+    split = envs.scripted_policy(quality, env, seed=8)
+    np.testing.assert_array_equal(calls, split.act(states, split.draw((3, 5))))
+
+
 def test_unknown_policy_quality():
     with pytest.raises(ValueError):
         envs.scripted_policy("grandmaster", envs.pointmass_env(), seed=0)
@@ -148,6 +194,20 @@ def test_generate_dataset_chaining_invariant():
     ds = data.generate_dataset(env, envs.scripted_policy("medium", env, 1), episodes=4, seed=2)
     for start, stop in ds.episode_slices():
         np.testing.assert_array_equal(ds.next_states[start : stop - 1], ds.states[start + 1 : stop])
+
+
+@pytest.mark.parametrize("quality", ["random", "medium", "expert"])
+@pytest.mark.parametrize("episodes", [1, 3, 17])
+@pytest.mark.parametrize("max_steps", [1, 7, 200])
+def test_lockstep_generation_equals_episode_loop(quality, episodes, max_steps):
+    for env_seed, policy_seed in ((0, 1), (7, 8), (2024, 3)):
+        env = envs.pointmass_env(max_steps=max_steps)
+        got = data.generate_dataset(env, envs.scripted_policy(quality, env, policy_seed), episodes, env_seed)
+        want = generate_dataset_loop(env, envs.scripted_policy(quality, env, policy_seed), episodes, env_seed)
+        for col in ("states", "actions", "rewards", "next_states", "dones", "episode_ids"):
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and a.shape == b.shape, col
+            assert a.tobytes() == b.tobytes(), col
 
 
 def test_generate_dataset_rejects_zero_episodes():
@@ -221,6 +281,31 @@ def test_save_load_byte_identical_resave(tmp_path):
     np.testing.assert_array_equal(loaded.rewards, ds.rewards)
     np.testing.assert_array_equal(loaded.dones, ds.dones)
     np.testing.assert_array_equal(loaded.episode_ids, ds.episode_ids)
+
+
+def test_failed_save_keeps_existing_dataset_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    env = envs.pointmass_env(max_steps=6)
+    old = data.generate_dataset(env, envs.scripted_policy("medium", env, 0), episodes=2, seed=0)
+    new = data.generate_dataset(env, envs.scripted_policy("random", env, 1), episodes=3, seed=1)
+    path = tmp_path / "d.ds"
+    data.save_dataset(old, path)
+    before = path.read_bytes()
+
+    class FailingHeader:
+        size = data._HEADER.size
+
+        def pack(self, *values):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(data, "_HEADER", FailingHeader())  # fails after the magic is written
+    with pytest.raises(OSError, match="disk full"):
+        data.save_dataset(new, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ds"]
+    monkeypatch.undo()
+    data.save_dataset(new, path)
+    assert len(data.load_dataset(path)) == len(new)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ds"]
 
 
 def test_empty_dataset_round_trip(tmp_path):

@@ -105,6 +105,27 @@ def test_fqe_iteration_deltas_contract():
     assert q.iteration_deltas[-1] < 0.01
 
 
+def test_fqe_full_passes_only_feed_iteration_deltas(monkeypatch):
+    ds = chain_dataset(episodes=10)
+    outputs = []
+    original = value.QNetwork.values_flat
+
+    def recording(self, x):
+        out = original(self, x)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(value.QNetwork, "values_flat", recording)
+    small = dict(steps_per_iteration=5, batch_size=16, hidden=(8, 8))
+    q = value.fqe_train(ds, value.FqeConfig(gamma=0.5, iterations=1, **small), seed=0)
+    assert outputs == [] and q.iteration_deltas == []
+
+    q = value.fqe_train(ds, value.FqeConfig(gamma=0.5, iterations=3, **small), seed=0)
+    full = [out for out in outputs if len(out) == len(ds)]
+    assert len(full) == 3 and len(outputs) == 5  # 3 full passes, 2 bootstrap-target passes
+    assert q.iteration_deltas == [float(np.max(np.abs(b - a))) for a, b in zip(full, full[1:])]
+
+
 def test_fqe_reward_scaling_is_linear():
     rewards = (1.0, 0.5, 2.0, 1.5)
     scale = 3.0
