@@ -1,42 +1,24 @@
 """Model-based offline planning: learned ensembles, fitted Q, guided MPPI."""
 
-from .adm import (
-    AdmConfig,
-    AdmEnsemble,
-    AdmModel,
-    adm_gaussian_head,
-    adm_mode,
-    adm_sample,
-    adm_train,
-    behavior_action_distribution,
-    disc,
-    dynamics_reward_mean,
-    dynamics_step,
-    load_ensemble,
-    save_ensemble,
-)
-from .data import Dataset, Transition, generate_dataset, load_dataset, mix, save_dataset
+from .adm import AdmConfig, AdmEnsemble, AdmModel, adm_train, load_ensemble, save_ensemble
+from .data import Dataset, generate_dataset, load_dataset, mix, save_dataset
 from .envs import make_env, pointmass_constrained_env, pointmass_env, scripted_policy
 from .errors import ConfigError, DataError, FormatError, MoppError, TrainingDiverged
-from .nn import AdamState, DenseNet, GaussianParams, adam_step, forward, gaussian_nll
+from .nn import AdamState, DenseNet, forward
 from .planner import (
     ConstraintConfig,
     EpisodeResult,
     diagnostics_csv,
     ModelBundle,
     PlannerConfig,
-    Trajectory,
-    guided_action,
     initial_plan,
     mppi_update,
     plan_step,
-    rollout,
     run_episode,
     scale_std,
-    traj_prune,
     uncertainty_threshold_from_data,
 )
-from .value import FqeConfig, QNetwork, fqe_train, load_q, q_value, save_q, v_estimate
+from .value import FqeConfig, QNetwork, fqe_train, load_q, save_q
 
 __all__ = [
     "AdamState",
@@ -51,29 +33,16 @@ __all__ = [
     "EpisodeResult",
     "FormatError",
     "FqeConfig",
-    "GaussianParams",
     "ModelBundle",
     "MoppError",
     "PlannerConfig",
     "QNetwork",
-    "Trajectory",
     "TrainingDiverged",
-    "Transition",
-    "adam_step",
-    "adm_gaussian_head",
-    "adm_mode",
-    "adm_sample",
     "adm_train",
-    "behavior_action_distribution",
     "diagnostics_csv",
-    "disc",
-    "dynamics_reward_mean",
-    "dynamics_step",
     "forward",
     "fqe_train",
-    "gaussian_nll",
     "generate_dataset",
-    "guided_action",
     "initial_plan",
     "load_dataset",
     "load_ensemble",
@@ -84,17 +53,13 @@ __all__ = [
     "plan_step",
     "pointmass_constrained_env",
     "pointmass_env",
-    "q_value",
-    "rollout",
     "run_episode",
     "save_dataset",
     "save_ensemble",
     "save_q",
     "scale_std",
     "scripted_policy",
-    "traj_prune",
     "uncertainty_threshold_from_data",
-    "v_estimate",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from .manifest import (
 
 EMBED_WIDTH = 500
 HEAD_HIDDEN = (200, 100)
-NORM_STD_FLOOR = 1e-6
 
 ROLES = ("behavior", "dynamics")
 
@@ -44,12 +43,7 @@ class NormStats:
 
     @classmethod
     def from_data(cls, x: np.ndarray, o: np.ndarray) -> "NormStats":
-        return cls(
-            x_mean=x.mean(axis=0, dtype=np.float64).astype(np.float32),
-            x_std=np.maximum(x.std(axis=0, dtype=np.float64), NORM_STD_FLOOR).astype(np.float32),
-            o_mean=o.mean(axis=0, dtype=np.float64).astype(np.float32),
-            o_std=np.maximum(o.std(axis=0, dtype=np.float64), NORM_STD_FLOOR).astype(np.float32),
-        )
+        return cls(*nn.column_stats(x), *nn.column_stats(o))
 
 
 @dataclass
@@ -181,52 +175,11 @@ class AdmModel:
         return self._scatter(mus), self._scatter(sigmas)
 
 
-# --- single-input operations (original units) ---
-
-
-def adm_gaussian_head(model: AdmModel, x, realized_prefix) -> nn.GaussianParams:
-    """Conditional for the next dimension in the model's ordering.
-
-    ``realized_prefix`` holds original-unit values of the already generated
-    dimensions, in ordering order. The returned params are de-normalized.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    prefix = np.asarray(realized_prefix, dtype=np.float32).ravel()
-    i = len(prefix)
-    if i >= model.output_dim:
-        raise ValueError(
-            f"prefix length {i} must be below output dim {model.output_dim}"
-        )
-    dims = model.ordering[:i]
-    prefix_n = (prefix - model.stats.o_mean[dims]) / model.stats.o_std[dims]
-    emb = model._embed(model.normalize_x(x)[None, :])
-    mu_n, sigma_n = model._head(i, emb, prefix_n[None, :])
-    dim = model.ordering[i]
-    scale = model.stats.o_std[dim]
-    return nn.GaussianParams(
-        mean=mu_n * scale + model.stats.o_mean[dim], std=sigma_n * scale
-    )
-
-
-def adm_mode(model: AdmModel, x) -> np.ndarray:
-    x_n = model.normalize_x(np.asarray(x, dtype=np.float32))[None, :]
-    return model.denormalize_o(model.mode_normalized(x_n))[0]
-
-
-def adm_sample(model: AdmModel, x, rng) -> np.ndarray:
-    """Draw one output, dimension by dimension in the model's ordering."""
-    x_n = model.normalize_x(np.asarray(x, dtype=np.float32))[None, :]
-    eps = rng.standard_normal((1, model.output_dim))
-    return model.denormalize_o(model.sample_normalized(x_n, eps))[0]
-
-
-def behavior_action_distribution(model: AdmModel, s):
-    """Per-dimension action means and stds via mode propagation."""
-    mu, sigma = behavior_action_distribution_batch(model, np.asarray(s)[None, :])
-    return mu[0], sigma[0]
+# --- behavior queries (original units) ---
 
 
 def behavior_action_distribution_batch(model: AdmModel, states: np.ndarray):
+    """Per-dimension action means and stds for each row of ``states``, via mode propagation."""
     x_n = model.normalize_x(np.asarray(states, dtype=np.float32))
     mu_n, sigma_n = model.mean_std_normalized(x_n)
     return (
@@ -365,31 +318,6 @@ def disc_from_predictions(preds: np.ndarray) -> np.ndarray:
     return out
 
 
-def disc(ensemble: AdmEnsemble, s, a) -> float:
-    """Largest pairwise squared distance between member mode predictions."""
-    if ensemble.k < 2:
-        raise ConfigError("discrepancy needs at least two ensemble members")
-    preds = dynamics_mode_all(ensemble, np.asarray(s)[None, :], np.asarray(a)[None, :])
-    return float(disc_from_predictions(preds)[0])
-
-
-def dynamics_step(ensemble: AdmEnsemble, member_index: int, s, a):
-    """Mode prediction of one member, split into (reward, next state)."""
-    if not 0 <= member_index < ensemble.k:
-        raise IndexError(
-            f"member index {member_index} out of range for k={ensemble.k}"
-        )
-    x = np.concatenate([np.asarray(s, dtype=np.float32), np.asarray(a, dtype=np.float32)])
-    out = adm_mode(ensemble.members[member_index], x)
-    return float(out[0]), out[1:]
-
-
-def dynamics_reward_mean(ensemble: AdmEnsemble, s, a) -> float:
-    """Mean over members of the mode-predicted reward."""
-    x = np.concatenate([np.asarray(s, dtype=np.float32), np.asarray(a, dtype=np.float32)])
-    return float(np.mean([adm_mode(m, x)[0] for m in ensemble.members]))
-
-
 # --- checkpoints ---
 
 
@@ -452,10 +380,20 @@ def load_ensemble(directory) -> AdmEnsemble:
             )
         except ValueError as err:  # sizes or activation the nets reject
             raise FormatError(f"{path}: {err}") from None
-        model.embed_net = nn.load_net(os.path.join(directory, f"member_{j:03d}_embed.nn"))
-        model.heads = [
-            nn.load_net(os.path.join(directory, f"member_{j:03d}_head_{i:02d}.nn"))
-            for i in range(model.output_dim)
-        ]
+        # the model keeps the manifest's sizes, so its nets must have them too
+        built = [(model.embed_net, "embed", "input_dim, embed_width")]
+        built += [(head, f"head_{i:02d}", "embed_width, head_hidden") for i, head in enumerate(model.heads)]
+        loaded = []
+        for net, name, keys in built:
+            net_path = os.path.join(directory, f"member_{j:03d}_{name}.nn")
+            got = nn.load_net(net_path)
+            if got.layer_sizes != net.layer_sizes or got.activation != net.activation:
+                raise FormatError(
+                    f"{path}: keys {keys}, activation describe a {net.activation} net of "
+                    f"layer sizes {net.layer_sizes}, but {net_path} holds a {got.activation} "
+                    f"net of {got.layer_sizes}"
+                )
+            loaded.append(got)
+        model.embed_net, *model.heads = loaded
         members.append(model)
     return AdmEnsemble(members=members, role=entries["role"], stats=stats)

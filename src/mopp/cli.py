@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -132,7 +133,7 @@ def cmd_gen_data(args) -> int:
     _info(
         args,
         f"wrote {len(dataset)} transitions ({dataset.n_episodes} episodes, "
-        f"mean return {dataset.stats.episode_returns.mean():.2f}) to {path}",
+        f"mean return {dataset.episode_returns().mean():.2f}) to {path}",
     )
     return 0
 
@@ -184,6 +185,12 @@ def cmd_train_q(args) -> int:
     tag = f" (reward transform: {cfg.constraint})" if cfg.constraint != "none" else ""
     _info(args, f"fitted Q in {time.perf_counter() - t0:.0f}s{tag} -> {out}")
     return 0
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write a CSV crash-safe: ``path`` holds the old file or the whole new one."""
+    with data.atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
 
 
 def _format_row(values) -> str:
@@ -258,12 +265,9 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "results.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        f.write("\n".join(lines) + "\n")
+    _write_text(out_path, header + "\n" + "\n".join(lines) + "\n")
     if first_episode_diag is not None:
-        with open(os.path.join(args.out, "diagnostics.csv"), "w", encoding="utf-8", newline="\n") as f:
-            f.write(first_episode_diag)
+        _write_text(os.path.join(args.out, "diagnostics.csv"), first_episode_diag)
     _info(args, f"wrote {out_path}")
     return 1 if failed else 0
 
@@ -280,35 +284,20 @@ def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
     bundle = _load_bundle(cfg, args.out)
-    base_threshold = _resolve_threshold(cfg, bundle.dynamics, dataset)
+    base = _planner_config(cfg, _resolve_threshold(cfg, bundle.dynamics, dataset))
     constraints = _constraints(cfg)
 
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]
     failed = False
     for axis_value in cfg.ablate_values:
         for variant in cfg.ablate_variants:
-            pcfg_kwargs = dict(
-                horizon=cfg.horizon,
-                kappa=cfg.kappa,
-                beta=cfg.beta,
-                uncertainty_threshold=base_threshold,
-                sigma_scale=cfg.sigma_m,
-                n_rollouts=cfg.n_rollouts,
-                n_min=cfg.n_min,
-                candidates=cfg.candidates,
-                value_samples=cfg.k_q,
-                use_max_q=cfg.use_max_q,
-                use_pruning=cfg.use_pruning,
-                use_value=cfg.use_value,
-            )
             if cfg.ablate_axis == "sigma_m":
-                pcfg_kwargs["sigma_scale"] = axis_value
+                axis = {"sigma_scale": axis_value}
             elif cfg.ablate_axis == "h":
-                pcfg_kwargs["horizon"] = int(axis_value)
+                axis = {"horizon": int(axis_value)}
             else:
-                pcfg_kwargs["uncertainty_threshold"] = axis_value
-            pcfg_kwargs.update(_VARIANT_TOGGLES[variant])
-            pcfg = planner.PlannerConfig(**pcfg_kwargs)
+                axis = {"uncertainty_threshold": axis_value}
+            pcfg = dataclasses.replace(base, **axis, **_VARIANT_TOGGLES[variant])
             rets, viols = [], []
             try:
                 for seed in cfg.seeds:
@@ -331,8 +320,7 @@ def cmd_ablate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "ablation.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(out_path, "\n".join(lines) + "\n")
     _info(args, f"wrote {out_path}")
     return 1 if failed else 0
 

@@ -209,6 +209,15 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"unknown constraint mode {cfg.constraint!r}; options: {CONSTRAINT_MODES}"
         )
+    if cfg.env == "pointmass" and cfg.v_cap is not None:
+        raise ConfigError(
+            "[run] v_cap is set, but env pointmass has no velocity cap; use env pointmass_constrained"
+        )
+    if cfg.env == "pointmass" and cfg.constraint.startswith("velocity_"):
+        raise ConfigError(
+            f"[constraint] mode {cfg.constraint} caps the velocity, but env pointmass has no cap "
+            "and counts no violations; use env pointmass_constrained"
+        )
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
     if cfg.episodes < 1 or cfg.data_episodes < 1:

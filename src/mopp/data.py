@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,27 +13,6 @@ from .errors import DataError, FormatError
 DATASET_MAGIC = b"MOPPDS1\x00"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<IIIII")  # version, state dim, action dim, count, episodes
-
-
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    episode_id: int
-
-
-@dataclass
-class DatasetStats:
-    state_mean: np.ndarray
-    state_std: np.ndarray
-    action_mean: np.ndarray
-    action_std: np.ndarray
-    reward_min: float
-    reward_max: float
-    episode_returns: np.ndarray
 
 
 class Dataset:
@@ -54,7 +32,6 @@ class Dataset:
             raise DataError("column lengths disagree")
         if len(self.dones) != n or len(self.episode_ids) != n:
             raise DataError("column lengths disagree")
-        self.stats = self.compute_stats()
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -81,34 +58,11 @@ class Dataset:
         stops = np.concatenate([breaks, [len(ids)]])
         return list(zip(starts.tolist(), stops.tolist()))
 
-    def compute_stats(self) -> DatasetStats:
-        if len(self) == 0:
-            zs = np.zeros(self.states.shape[1] if self.states.ndim == 2 else 0)
-            za = np.zeros(self.actions.shape[1] if self.actions.ndim == 2 else 0)
-            return DatasetStats(zs, np.ones_like(zs), za, np.ones_like(za), 0.0, 0.0, np.zeros(0))
-        returns = np.array(
+    def episode_returns(self) -> np.ndarray:
+        """Undiscounted return of each episode, in storage order, summed in float64."""
+        return np.array(
             [float(self.rewards[a:b].sum(dtype=np.float64)) for a, b in self.episode_slices()]
         )
-        return DatasetStats(
-            state_mean=self.states.mean(axis=0, dtype=np.float64),
-            state_std=self.states.std(axis=0, dtype=np.float64),
-            action_mean=self.actions.mean(axis=0, dtype=np.float64),
-            action_std=self.actions.std(axis=0, dtype=np.float64),
-            reward_min=float(self.rewards.min()),
-            reward_max=float(self.rewards.max()),
-            episode_returns=returns,
-        )
-
-    def transitions(self):
-        for i in range(len(self)):
-            yield Transition(
-                self.states[i],
-                self.actions[i],
-                float(self.rewards[i]),
-                self.next_states[i],
-                bool(self.dones[i]),
-                int(self.episode_ids[i]),
-            )
 
 
 def generate_dataset(env, policy, episodes: int, seed: int = 0) -> Dataset:
@@ -213,36 +167,19 @@ def _record_dtype(state_dim: int, action_dim: int) -> np.dtype:
     )
 
 
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``dataset`` to ``path`` crash-safe.
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temp file next to ``path`` for writing; on a clean exit, move it over ``path``.
 
-    The records go to a temp file in the same directory, which is synced and
-    then moved over ``path`` with ``os.replace``, so ``path`` always holds a
-    whole dataset: the old one or the new one. A failed write removes the
-    temp file.
+    The temp file is flushed and synced before ``os.replace``, so ``path``
+    always holds a whole file: the old one or the new one. A failure at any
+    point removes the temp file and re-raises.
     """
-    rec = np.zeros(len(dataset), dtype=_record_dtype(dataset.state_dim, dataset.action_dim))
-    rec["s"] = dataset.states
-    rec["a"] = dataset.actions
-    rec["r"] = dataset.rewards
-    rec["sn"] = dataset.next_states
-    rec["done"] = dataset.dones.astype(np.uint8)
-    rec["ep"] = dataset.episode_ids
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            f.write(DATASET_MAGIC)
-            f.write(
-                _HEADER.pack(
-                    DATASET_VERSION,
-                    dataset.state_dim,
-                    dataset.action_dim,
-                    len(dataset),
-                    dataset.n_episodes,
-                )
-            )
-            f.write(rec.tobytes())
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -250,6 +187,29 @@ def save_dataset(dataset: Dataset, path) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` to ``path`` crash-safe (see :func:`atomic_write`)."""
+    rec = np.zeros(len(dataset), dtype=_record_dtype(dataset.state_dim, dataset.action_dim))
+    rec["s"] = dataset.states
+    rec["a"] = dataset.actions
+    rec["r"] = dataset.rewards
+    rec["sn"] = dataset.next_states
+    rec["done"] = dataset.dones.astype(np.uint8)
+    rec["ep"] = dataset.episode_ids
+    with atomic_write(path) as f:
+        f.write(DATASET_MAGIC)
+        f.write(
+            _HEADER.pack(
+                DATASET_VERSION,
+                dataset.state_dim,
+                dataset.action_dim,
+                len(dataset),
+                dataset.n_episodes,
+            )
+        )
+        f.write(rec.tobytes())
 
 
 def load_dataset(path) -> Dataset:

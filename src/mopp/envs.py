@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigError
+
 DT = 0.05
 VEL_LIMIT = 3.0
 GOAL = np.array([1.0, 1.0])
@@ -117,6 +119,8 @@ def make_env(name: str, v_cap: Optional[float] = None) -> PointMassEnv:
         raise ValueError(f"unknown environment {name!r}; options: {sorted(ENVS)}")
     if name == "pointmass_constrained":
         return pointmass_constrained_env(DEFAULT_V_CAP if v_cap is None else v_cap)
+    if v_cap is not None:
+        raise ConfigError(f"v_cap = {v_cap} given for env {name!r}, which has no velocity cap")
     return pointmass_env()
 
 

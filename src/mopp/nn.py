@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,9 @@ SIGMA_MIN = 1e-3
 SIGMA_MAX = 5.0
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Floor of a normalization std, so constant columns normalize to finite values.
+NORM_STD_FLOOR = 1e-6
 
 # Row block of forward: a 256 x 500 float32 activation (512 KB) stays in L2.
 FORWARD_BLOCK_ROWS = 256
@@ -82,6 +84,14 @@ class DenseNet:
         dup.weights = [w.copy() for w in self.weights]
         dup.biases = [b.copy() for b in self.biases]
         return dup
+
+
+def column_stats(x: np.ndarray):
+    """Per-column float32 mean and std (floored at NORM_STD_FLOOR), accumulated in float64."""
+    return (
+        x.mean(axis=0, dtype=np.float64).astype(np.float32),
+        np.maximum(x.std(axis=0, dtype=np.float64), NORM_STD_FLOOR).astype(np.float32),
+    )
 
 
 def activate(z: np.ndarray, kind: str, out=None) -> np.ndarray:
@@ -179,43 +189,6 @@ def std_from_raw(pre, sigma_min: float = SIGMA_MIN, sigma_max: float = SIGMA_MAX
     return sigma_min + (sigma_max - sigma_min) * _sigmoid(np.asarray(pre))
 
 
-@dataclass
-class GaussianParams:
-    """Diagonal Gaussian: per-dimension mean and strictly positive std."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean))
-        self.std = np.atleast_1d(np.asarray(self.std))
-        if self.mean.shape != self.std.shape:
-            raise ValueError(
-                f"mean shape {self.mean.shape} != std shape {self.std.shape}"
-            )
-        if not np.all(self.std > 0):
-            raise ValueError("std entries must be strictly positive")
-
-
-def gaussian_nll(params: GaussianParams, target) -> float:
-    """Negative log density of ``target`` under the diagonal Gaussian.
-
-    Computed as sum_d [log std_d + (target_d - mean_d)^2 / (2 std_d^2) + log(2 pi)/2].
-    """
-    target = np.atleast_1d(np.asarray(target))
-    if target.shape != params.mean.shape:
-        raise ValueError(
-            f"target shape {target.shape} != mean shape {params.mean.shape}"
-        )
-    if not np.all(params.std > 0):
-        raise ValueError("std entries must be strictly positive")
-    mean = params.mean.astype(np.float64)
-    std = params.std.astype(np.float64)
-    t = target.astype(np.float64)
-    resid = t - mean
-    return float(np.sum(np.log(std) + resid * resid / (2.0 * std * std) + 0.5 * LOG_2PI))
-
-
 def mse_loss_and_grad(y: np.ndarray, target: np.ndarray):
     """Mean over the batch of the per-sample squared-error sum, plus dL/dy."""
     if y.shape != target.shape:
@@ -301,10 +274,6 @@ class AdamState:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
-    @classmethod
-    def for_net(cls, net: DenseNet, learning_rate=1e-3, **kwargs) -> "AdamState":
-        return cls(net.params(), learning_rate, **kwargs)
-
 
 def adam_update(params, grads, state: AdamState) -> None:
     """One adaptive-moment step, updating ``params`` and ``state`` in place."""
@@ -327,11 +296,6 @@ def adam_update(params, grads, state: AdamState) -> None:
         m_hat = m / corr1
         v_hat = v / corr2
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def adam_step(net: DenseNet, grads, state: AdamState) -> None:
-    """Apply one optimizer step to a network's parameters."""
-    adam_update(net.params(), grads, state)
 
 
 def save_net(net: DenseNet, path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -80,17 +80,6 @@ NO_CONSTRAINTS = ConstraintConfig()
 
 
 @dataclass
-class Trajectory:
-    states: np.ndarray  # (horizon, |S|)
-    actions: np.ndarray  # (horizon, |A|)
-    ret: float
-
-    @property
-    def steps(self):
-        return list(zip(self.states, self.actions))
-
-
-@dataclass
 class ModelBundle:
     dynamics: AdmEnsemble
     behavior: AdmEnsemble
@@ -132,18 +121,6 @@ def scale_std(sigma, sigma_scale: float):
     top = sigma.max(axis=-1, keepdims=True)
     out = np.where(top < SIGMA_EPS, sigma_scale, sigma * (sigma_scale / np.maximum(top, SIGMA_EPS)))
     return out.astype(np.float64)
-
-
-def guided_action(s, behavior_member, q: Optional[QNetwork], config: PlannerConfig, rng):
-    """Sample candidate actions around the behavior policy; keep the Q-argmax.
-
-    With use_max_q off (or no Q-network) a single sample is returned. Ties
-    break toward the lowest sample index.
-    """
-    m = config.candidates if config.use_max_q else 1
-    eps = rng.standard_normal((m, behavior_member.output_dim))
-    states = np.asarray(s)[None, :]
-    return _guided_actions(states, [behavior_member], np.zeros(1, int), q, config, eps[None])[0]
 
 
 def _guided_actions(states, members, member_idx, q, config, eps):
@@ -280,23 +257,6 @@ def _rollout_batch(
     return states, actions, returns, uncertainty
 
 
-def rollout(
-    start_state,
-    bundle: ModelBundle,
-    plan: np.ndarray,
-    config: PlannerConfig,
-    constraints: ConstraintConfig,
-    rng,
-):
-    """Roll a single guided trajectory; returns (Trajectory, uncertainty row).
-
-    This is :func:`plan_step`'s rollout batch at N = 1, drawing from ``rng``.
-    """
-    start = np.asarray(start_state, dtype=np.float32)[None, :]
-    states, actions, returns, u = _rollout_batch(start, bundle, plan, config, constraints, rng)
-    return Trajectory(states[0], actions[0], float(returns[0])), u[0]
-
-
 def prune_indices(u: np.ndarray, threshold: float, n_min: int) -> np.ndarray:
     """Indices of trajectories kept by the pruning rule, in ascending order.
 
@@ -321,32 +281,26 @@ def prune_indices(u: np.ndarray, threshold: float, n_min: int) -> np.ndarray:
     return np.sort(np.concatenate([kept, extra]))
 
 
-def traj_prune(trajectories: Sequence[Trajectory], u: np.ndarray, threshold: float, n_min: int):
-    """Refined trajectory list per the pruning rule."""
-    keep = prune_indices(u, threshold, n_min)
-    return [trajectories[i] for i in keep]
-
-
-def mppi_update(trajectories, returns, kappa: float) -> np.ndarray:
-    """Per-step action average weighted by exponentiated returns.
+def mppi_update(actions, returns, kappa: float) -> np.ndarray:
+    """Per-step average of (n, H, |A|) action sequences weighted by exponentiated returns.
 
     The max return is subtracted inside the exponent for numerical
     stability, which leaves the weights unchanged.
     """
-    if isinstance(trajectories, np.ndarray):
-        acts = np.asarray(trajectories, dtype=np.float64)
-    else:
-        if len(trajectories) == 0:
-            raise ValueError("empty trajectory set")
-        acts = np.stack([t.actions for t in trajectories]).astype(np.float64)
+    acts = np.asarray(actions, dtype=np.float64)
     returns = np.asarray(returns, dtype=np.float64)
     if acts.shape[0] == 0:
         raise ValueError("empty trajectory set")
     if returns.shape[0] != acts.shape[0]:
-        raise ValueError("returns and trajectories disagree in length")
+        raise ValueError("returns and action sequences disagree in length")
     w = np.exp(kappa * (returns - returns.max()))
     w /= w.sum()
     return np.einsum("n,nha->ha", w, acts).astype(np.float32)
+
+
+def _seed_key(seed) -> tuple:
+    """An int or a tuple/list of ints as a tuple of ints, the key of a Generator."""
+    return tuple(int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,)))
 
 
 def plan_step(
@@ -365,12 +319,11 @@ def plan_step(
     results do not depend on the order in which rollouts are evaluated.
     Returns (action, updated plan, diagnostics).
     """
-    seed_key = [int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
     starts = np.broadcast_to(
         np.asarray(state, dtype=np.float32), (config.n_rollouts, len(state))
     )
     states, actions, returns, u = _rollout_batch(
-        starts, bundle, plan, config, constraints, np.random.default_rng(seed_key)
+        starts, bundle, plan, config, constraints, np.random.default_rng(_seed_key(seed))
     )
     if config.use_pruning:
         keep = prune_indices(u, config.uncertainty_threshold, config.n_min)
@@ -405,8 +358,12 @@ def run_episode(
         raise ConfigError("environment and dynamics model disagree on state dim")
     if env.spec.action_dim != bundle.behavior.output_dim:
         raise ConfigError("environment and behavior model disagree on action dim")
+    if config.use_pruning and bundle.dynamics.k < 2:
+        raise ConfigError(
+            f"use_pruning needs >= 2 dynamics members to measure disagreement, found {bundle.dynamics.k}"
+        )
     violation = constraints.violation or getattr(env, "violation", None)
-    seed_key = tuple(int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,)))
+    seed_key = _seed_key(seed)
     s = env.reset(seed=[*seed_key, 0])
     plan = initial_plan(config.horizon, env.spec.action_dim)
     total = 0.0

@@ -1,4 +1,4 @@
-"""Behavioral Q-function via fitted Q evaluation, and the derived value estimate."""
+"""Behavioral Q-function via fitted Q evaluation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn
-from .adm import AdmEnsemble
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
 from .manifest import format_floats, parse_floats, read_manifest, write_manifest
@@ -62,11 +61,6 @@ class QNetwork:
         return out * self.y_std + self.y_mean
 
 
-def q_value(q: QNetwork, s, a) -> float:
-    """Q at a single state-action pair."""
-    return float(q.values(np.asarray(s)[None, :], np.asarray(a)[None, :])[0])
-
-
 def _next_action_pairs(dataset: Dataset):
     """Per transition: index of the logged next action, or -1 at episode ends."""
     n = len(dataset)
@@ -92,8 +86,7 @@ def fqe_train(dataset: Dataset, config: FqeConfig, seed: int = 0) -> QNetwork:
         raise DataError("dataset has no consecutive within-episode action pairs")
 
     x = np.concatenate([dataset.states, dataset.actions], axis=1)
-    x_mean = x.mean(axis=0, dtype=np.float64).astype(np.float32)
-    x_std = np.maximum(x.std(axis=0, dtype=np.float64), 1e-6).astype(np.float32)
+    x_mean, x_std = nn.column_stats(x)
 
     rewards = dataset.rewards.astype(np.float64)
     if config.reward_transform is not None:
@@ -140,19 +133,6 @@ def fqe_train(dataset: Dataset, config: FqeConfig, seed: int = 0) -> QNetwork:
     return q
 
 
-def v_estimate(q: QNetwork, behavior: AdmEnsemble, s, k_q: int, rng) -> float:
-    """Mean Q over actions sampled from one uniformly drawn behavior member."""
-    if k_q < 1:
-        raise ConfigError("value estimation needs at least one action sample")
-    member = behavior.members[int(rng.integers(behavior.k))]
-    s = np.asarray(s, dtype=np.float32)
-    x_n = member.normalize_x(s)[None, :].repeat(k_q, axis=0)
-    eps = rng.standard_normal((k_q, member.output_dim))
-    actions = member.denormalize_o(member.sample_normalized(x_n, eps))
-    states = np.broadcast_to(s, (k_q, s.shape[0]))
-    return float(q.values(states, actions).mean())
-
-
 def save_q(q: QNetwork, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     write_manifest(
@@ -177,11 +157,19 @@ def load_q(directory) -> QNetwork:
     entries = read_manifest(path)
     if entries.get("role") != "q":
         raise FormatError(f"{path}: expected role 'q', got {entries.get('role')!r}")
-    net = nn.load_net(os.path.join(directory, "q.nn"))
-    return QNetwork(
-        net,
-        entries.parse("x_mean", parse_floats),
-        entries.parse("x_std", parse_floats),
-        entries.parse("y_mean", float),
-        entries.parse("y_std", float),
-    )
+    input_dim = entries.parse("input_dim", int)
+    net_path = os.path.join(directory, "q.nn")
+    net = nn.load_net(net_path)
+    if net.input_dim != input_dim:
+        raise FormatError(
+            f"{path}: key 'input_dim' = {input_dim}, but {net_path} takes {net.input_dim} inputs"
+        )
+    x_mean = entries.parse("x_mean", parse_floats)
+    x_std = entries.parse("x_std", parse_floats)
+    for key, values in (("x_mean", x_mean), ("x_std", x_std)):
+        if len(values) != input_dim:
+            raise FormatError(
+                f"{path}: key {key!r} = {entries[key]} holds {len(values)} values, "
+                f"but key 'input_dim' = {input_dim}"
+            )
+    return QNetwork(net, x_mean, x_std, entries.parse("y_mean", float), entries.parse("y_std", float))

@@ -172,9 +172,8 @@ def test_criterion_05_fqe_matches_dynamic_programming():
         value.FqeConfig(gamma=gamma, iterations=10, steps_per_iteration=120, batch_size=128, hidden=(64, 64)),
         seed=5,
     )
-    eye = np.eye(5, dtype=np.float32)
-    for i, expected in enumerate(oracle):
-        got = value.q_value(q, eye[i], np.zeros(1))
+    values = q.values(np.eye(5, dtype=np.float32)[:4], np.zeros((4, 1)))
+    for i, (got, expected) in enumerate(zip(values, oracle)):
         assert got == pytest.approx(expected, rel=0.05), f"state {i}: {got} vs {expected}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -270,7 +269,7 @@ def test_criterion_07_planning_beats_behavior_mean(medium_pipeline):
         sigma_scale=0.4, n_rollouts=32, candidates=10, value_samples=10,
     )
     returns, _ = _run_batch(bundle, pcfg, envs.pointmass_env)
-    baseline = float(ds.stats.episode_returns.mean())
+    baseline = float(ds.episode_returns().mean())
     required = baseline + 0.15 * abs(baseline)
     got = float(returns.mean())
     assert got >= required, f"planner {got:.2f} vs required {required:.2f} (baseline {baseline:.2f})"

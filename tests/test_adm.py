@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopp import adm, data, nn
+from mopp import adm, data, envs, nn, planner
 from mopp.errors import ConfigError, DataError, TrainingDiverged
+from reference import adm_gaussian_head, gaussian_nll
 
 
 def toy_dataset(x, o, role="behavior"):
@@ -68,7 +69,7 @@ def test_constant_dataset_recovery():
         x_n = member.normalize_x(x[:16])
         sample = member.sample_normalized(x_n, np.random.default_rng(1).standard_normal((16, 2)))
         assert np.abs(sample).max() < 0.05  # normalized units; constant maps to 0
-        params = adm.adm_gaussian_head(member, x[0], [])
+        params = adm_gaussian_head(member, x[0], [])
         dim = member.ordering[0]
         assert abs(params.mean[0] - o[0, dim]) <= 0.05 * max(float(ens.stats.o_std[dim]), 1e-3)
 
@@ -118,40 +119,39 @@ def test_adm_train_divergence_reports_step():
 def test_gaussian_head_prefix_too_long():
     model = constant_model(2, [1.0, 2.0])
     with pytest.raises(ValueError):
-        adm.adm_gaussian_head(model, np.zeros(2), [0.0, 0.0])
+        adm_gaussian_head(model, np.zeros(2), [0.0, 0.0])
 
 
 def test_gaussian_head_std_within_clamp_bounds():
     model = adm.AdmModel(3, 2, [1, 0], identity_stats(3, 2), embed_width=16, head_hidden=(8,), rng=5)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        params = adm.adm_gaussian_head(model, rng.normal(size=3), [])
-        assert nn.SIGMA_MIN <= params.std[0] <= nn.SIGMA_MAX
+    x = np.random.default_rng(0).normal(size=(20, 3)).astype(np.float32)
+    _, sd = adm.behavior_action_distribution_batch(model, x)
+    assert np.all((nn.SIGMA_MIN <= sd) & (sd <= nn.SIGMA_MAX))
 
 
 def test_identity_normalization_matches_raw():
     model = adm.AdmModel(2, 2, [0, 1], identity_stats(2, 2), embed_width=16, head_hidden=(8,), rng=7)
-    x = np.array([0.3, -0.4], np.float32)
-    raw = adm.adm_mode(model, x)
-    normalized = model.mode_normalized(x[None, :])[0]
+    x = np.array([[0.3, -0.4]], np.float32)
+    raw = model.denormalize_o(model.mode_normalized(model.normalize_x(x)))
+    normalized = model.mode_normalized(x)
     np.testing.assert_allclose(raw, normalized, rtol=1e-6)
 
 
 def test_sample_close_to_mode_at_minimal_std():
     model = constant_model(2, [0.5, -0.25], sigma_raw=-60.0)  # std pinned at sigma_min
     rng = np.random.default_rng(11)
-    x = np.zeros(2, np.float32)
-    mode = adm.adm_mode(model, x)
+    x_n = model.normalize_x(np.zeros((1, 2), np.float32))
+    mode = model.denormalize_o(model.mode_normalized(x_n))
     for _ in range(50):
-        s = adm.adm_sample(model, x, rng)
+        s = model.denormalize_o(model.sample_normalized(x_n, rng.standard_normal((1, 2))))
         assert np.all(np.abs(s - mode) < 4 * nn.SIGMA_MIN)
 
 
 def test_sample_deterministic_given_seed():
     model = adm.AdmModel(2, 3, [2, 0, 1], identity_stats(2, 3), embed_width=16, head_hidden=(8,), rng=3)
-    x = np.array([0.1, 0.9], np.float32)
-    a = adm.adm_sample(model, x, np.random.default_rng(42))
-    b = adm.adm_sample(model, x, np.random.default_rng(42))
+    x_n = model.normalize_x(np.array([[0.1, 0.9]], np.float32))
+    a = model.sample_normalized(x_n, np.random.default_rng(42).standard_normal((1, 3)))
+    b = model.sample_normalized(x_n, np.random.default_rng(42).standard_normal((1, 3)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -159,7 +159,7 @@ def test_sample_mean_matches_head_mean_1d():
     # Monte-Carlo oracle: empirical mean within 3 standard errors
     model = adm.AdmModel(2, 1, [0], identity_stats(2, 1), embed_width=16, head_hidden=(16, 8), rng=9)
     x = np.array([0.4, -1.2], np.float32)
-    params = adm.adm_gaussian_head(model, x, [])
+    params = adm_gaussian_head(model, x, [])
     n = 10_000
     x_n = model.normalize_x(x)[None, :].repeat(n, axis=0)
     eps = np.random.default_rng(0).standard_normal((n, 1))
@@ -189,10 +189,10 @@ def test_sample_with_repeats_matches_repeated_rows(embed, hidden, unique):
 def test_behavior_distribution_single_dim_equals_head():
     model = adm.AdmModel(3, 1, [0], identity_stats(3, 1), embed_width=16, head_hidden=(8,), rng=1)
     s = np.array([0.2, 0.4, -0.6], np.float32)
-    mu, sd = adm.behavior_action_distribution(model, s)
-    params = adm.adm_gaussian_head(model, s, [])
-    assert mu[0] == pytest.approx(params.mean[0], rel=1e-6)
-    assert sd[0] == pytest.approx(params.std[0], rel=1e-6)
+    mu, sd = adm.behavior_action_distribution_batch(model, s[None, :])
+    params = adm_gaussian_head(model, s, [])
+    assert mu[0, 0] == pytest.approx(params.mean[0], rel=1e-6)
+    assert sd[0, 0] == pytest.approx(params.std[0], rel=1e-6)
 
 
 def test_behavior_distribution_shapes():
@@ -201,15 +201,15 @@ def test_behavior_distribution_shapes():
             3, a_dim, np.random.default_rng(a_dim).permutation(a_dim),
             identity_stats(3, a_dim), embed_width=16, head_hidden=(8,), rng=a_dim,
         )
-        mu, sd = adm.behavior_action_distribution(model, np.zeros(3, np.float32))
-        assert mu.shape == (a_dim,) and sd.shape == (a_dim,)
+        mu, sd = adm.behavior_action_distribution_batch(model, np.zeros((1, 3), np.float32))
+        assert mu.shape == (1, a_dim) and sd.shape == (1, a_dim)
         assert np.all(sd > 0)
 
 
 def test_behavior_distribution_constant_model():
     model = constant_model(4, [0.7, -0.3])
-    mu, sd = adm.behavior_action_distribution(model, np.zeros(4, np.float32))
-    np.testing.assert_allclose(mu, [0.7, -0.3], atol=1e-6)
+    mu, sd = adm.behavior_action_distribution_batch(model, np.zeros((1, 4), np.float32))
+    np.testing.assert_allclose(mu, [[0.7, -0.3]], atol=1e-6)
     assert np.all(sd <= 1.1 * nn.SIGMA_MIN)
 
 
@@ -224,7 +224,8 @@ def test_disc_identical_members_zero():
     m1 = constant_model(3, [0.1, 0.2])
     m2 = constant_model(3, [0.1, 0.2])
     ens = dynamics_ensemble_from_models([m1, m2])
-    assert adm.disc(ens, np.zeros(2), np.zeros(1)) == 0.0
+    preds = adm.dynamics_mode_all(ens, np.zeros((1, 2)), np.zeros((1, 1)))
+    assert adm.disc_from_predictions(preds)[0] == 0.0
 
 
 def test_disc_forced_arithmetic():
@@ -235,9 +236,15 @@ def test_disc_forced_arithmetic():
 
 
 def test_disc_requires_two_members():
-    ens = dynamics_ensemble_from_models([constant_model(3, [0.0, 0.0])])
-    with pytest.raises(ConfigError):
-        adm.disc(ens, np.zeros(2), np.zeros(1))
+    # pruning ranks rollouts by member disagreement, which one member cannot show
+    env = envs.pointmass_env(max_steps=2)
+    dynamics = dynamics_ensemble_from_models([constant_model(6, [0.0] * 5)])
+    behavior = adm.AdmEnsemble(members=[constant_model(4, [0.1, 0.1])], role="behavior", stats=identity_stats(4, 2))
+    bundle = planner.ModelBundle(dynamics=dynamics, behavior=behavior)
+    common = dict(horizon=2, n_rollouts=4, use_max_q=False, use_value=False)
+    with pytest.raises(ConfigError, match="use_pruning"):
+        planner.run_episode(env, bundle, planner.PlannerConfig(**common))
+    assert planner.run_episode(env, bundle, planner.PlannerConfig(use_pruning=False, **common)).steps == 2
 
 
 @given(
@@ -263,15 +270,14 @@ def test_disc_matches_brute_force_and_permutation_invariance(k, b, d, seed):
 def test_dynamics_step_and_reward_mean():
     m1 = constant_model(3, [1.0, 0.5, -0.5])  # output = (r, s')
     m2 = constant_model(3, [3.0, 0.5, -0.5])
-    ens = dynamics_ensemble_from_models([m1, m2])
-    r, s_next = adm.dynamics_step(ens, 0, np.zeros(2), np.zeros(1))
-    assert r == pytest.approx(1.0, abs=1e-6)
-    np.testing.assert_allclose(s_next, [0.5, -0.5], atol=1e-6)
-    assert adm.dynamics_reward_mean(ens, np.zeros(2), np.zeros(1)) == pytest.approx(2.0, abs=1e-6)
-    single = dynamics_ensemble_from_models([m1])
-    assert adm.dynamics_reward_mean(single, np.zeros(2), np.zeros(1)) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(IndexError):
-        adm.dynamics_step(ens, 2, np.zeros(2), np.zeros(1))
+    s, a = np.zeros((1, 2)), np.zeros((1, 1))
+    preds = adm.dynamics_mode_all(dynamics_ensemble_from_models([m1, m2]), s, a)  # identity stats
+    assert preds.shape == (2, 1, 3)
+    assert preds[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+    np.testing.assert_allclose(preds[0, 0, 1:], [0.5, -0.5], atol=1e-6)
+    assert preds[:, 0, 0].mean() == pytest.approx(2.0, abs=1e-6)
+    single = adm.dynamics_mode_all(dynamics_ensemble_from_models([m1]), s, a)
+    assert single[:, 0, 0].mean() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_teacher_forcing_loss_decomposes_into_head_nlls():
@@ -284,8 +290,8 @@ def test_teacher_forcing_loss_decomposes_into_head_nlls():
     for row in range(len(x)):
         for i in range(3):
             prefix = o[row, model.ordering[:i]]
-            params = adm.adm_gaussian_head(model, x[row], prefix)
-            manual += nn.gaussian_nll(params, o[row, model.ordering[i] : model.ordering[i] + 1])
+            params = adm_gaussian_head(model, x[row], prefix)
+            manual += gaussian_nll(params, o[row, model.ordering[i] : model.ordering[i] + 1])
     assert loss == pytest.approx(manual / len(x), rel=1e-5)
 
 

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import mopp
 from mopp import adm, cli, data, value
 from mopp.config import RunConfig, default_config_text, load_config
 from mopp.errors import ConfigError, FormatError
@@ -283,7 +284,13 @@ def test_manifest_missing_key_names_key_and_file(pipeline_dir, tmp_path, directo
     assert str(manifest) in str(info.value)
 
 
-@pytest.mark.parametrize("edit", ["k = two", "k = -1", "activation = swish", "delete q.nn"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        "k = two", "k = -1", "activation = swish", "embed_width = 7",
+        "input_dim = 9 in q", "x_std = 1.5 in q", "delete q.nn",
+    ],
+)
 def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_path, capsys, edit):
     out, _ = pipeline_dir
     copy = tmp_path / "run"
@@ -292,8 +299,9 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
         broken, needles = copy / "q" / "q.nn", ("q.nn",)
         broken.unlink()
     else:
+        edit, _, directory = edit.partition(" in ")  # the dynamics manifest unless named
         key, _, bad = edit.partition(" = ")
-        broken, needles = copy / "dynamics" / "manifest.txt", (key, bad)
+        broken, needles = copy / (directory or "dynamics") / "manifest.txt", (key, bad)
         lines = broken.read_text().splitlines(keepends=True)
         broken.write_text("".join(f"{edit}\n" if line.startswith(f"{key} =") else line for line in lines))
     code = cli.main(["evaluate", "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"])
@@ -301,3 +309,44 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
     err = capsys.readouterr().err
     assert str(broken) in err and all(needle in err for needle in needles)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("v_cap, mode, key", [("0.5", "none", "v_cap"), ("", "velocity_rollout", "mode")])
+def test_velocity_constraint_on_uncapped_env_is_config_error(tmp_path, capsys, v_cap, mode, key):
+    cfg_path = tmp_path / "c.cfg"
+    text = "[run]\nenv = {}\nv_cap = " + v_cap + "\n[constraint]\nmode = " + mode + "\n"
+    cfg_path.write_text(text.format("pointmass"))
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "pointmass_constrained" in err
+    assert "Traceback" not in err
+    cfg_path.write_text(text.format("pointmass_constrained"))
+    assert load_config(cfg_path).env == "pointmass_constrained"
+
+
+def test_failed_csv_write_keeps_existing_results_and_leaves_no_temp_file(pipeline_dir, monkeypatch):
+    out, base = pipeline_dir
+    results = out / "results.csv"
+    results.write_text("old\n")
+    names = sorted(p.name for p in out.iterdir())
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["evaluate", *base])
+    assert results.read_text() == "old\n"
+    assert sorted(p.name for p in out.iterdir()) == names
+    monkeypatch.undo()
+    assert cli.main(["evaluate", *base]) == 0
+    assert results.read_text().startswith("seed,episode,")
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+def test_star_import_exports_every_listed_name_once():
+    assert len(mopp.__all__) == len(set(mopp.__all__))
+    namespace = {}
+    exec("from mopp import *", namespace)
+    missing = [name for name in mopp.__all__ if name not in namespace]
+    assert not missing

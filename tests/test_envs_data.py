@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mopp import data, envs
-from mopp.errors import DataError, FormatError
+from mopp.errors import ConfigError, DataError, FormatError
 
 
 def generate_dataset_loop(env, policy, episodes, seed):
@@ -131,6 +131,8 @@ def test_make_env_names():
     assert envs.make_env("pointmass_constrained", v_cap=0.4).v_cap == 0.4
     with pytest.raises(ValueError):
         envs.make_env("cartpole")
+    with pytest.raises(ConfigError, match="v_cap"):
+        envs.make_env("pointmass", v_cap=0.5)
 
 
 def test_random_policy_within_bounds():
@@ -222,13 +224,9 @@ def test_stats_idempotent_after_reload(tmp_path):
     path = tmp_path / "d.ds"
     data.save_dataset(ds, path)
     loaded = data.load_dataset(path)
-    fresh = loaded.compute_stats()
-    np.testing.assert_allclose(fresh.state_mean, ds.stats.state_mean, atol=1e-6)
-    np.testing.assert_allclose(fresh.state_std, ds.stats.state_std, atol=1e-6)
-    np.testing.assert_allclose(fresh.action_mean, ds.stats.action_mean, atol=1e-6)
-    np.testing.assert_allclose(fresh.episode_returns, ds.stats.episode_returns, atol=1e-6)
-    assert fresh.reward_min == ds.stats.reward_min
-    assert fresh.reward_max == ds.stats.reward_max
+    returns = loaded.episode_returns()
+    assert returns.shape == (6,)
+    np.testing.assert_array_equal(returns, ds.episode_returns())
 
 
 def test_mix_half_half_split():
@@ -239,8 +237,8 @@ def test_mix_half_half_split():
     per_source = mixed.n_episodes
     assert per_source == 18
     # episode returns partition into the two source pools within one episode
-    returns = mixed.compute_stats().episode_returns
-    from_a = sum(1 for r in returns if any(abs(r - x) < 1e-6 for x in a.stats.episode_returns))
+    returns = mixed.episode_returns()
+    from_a = sum(1 for r in returns if any(abs(r - x) < 1e-6 for x in a.episode_returns()))
     assert abs(from_a - per_source / 2) <= 1
 
 

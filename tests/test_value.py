@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mopp import adm, data, nn, value
+from mopp import adm, data, nn, planner, value
 from mopp.errors import ConfigError, DataError
+from reference import adm_gaussian_head, v_estimate
 
 
 def chain_dataset(rewards=(1.0, 0.5, 2.0, 1.5), episodes=40, reward_scale=1.0):
@@ -82,7 +83,7 @@ def test_fqe_absorbing_state_geometric_series():
         ds, value.FqeConfig(gamma=0.9, iterations=60, steps_per_iteration=40, batch_size=128, hidden=(32, 32)),
         seed=1,
     )
-    got = value.q_value(q, np.zeros(1), np.zeros(1))
+    got = q.values(np.zeros((1, 1)), np.zeros((1, 1)))[0]
     assert got == pytest.approx(10.0, rel=0.05)
 
 
@@ -92,10 +93,9 @@ def test_fqe_chain_matches_dynamic_programming():
     ds = chain_dataset(rewards)
     oracle = chain_q_oracle(rewards, gamma)
     q = value.fqe_train(ds, value.FqeConfig(gamma=gamma, **FAST), seed=2)
-    eye = np.eye(5, dtype=np.float32)
+    got = q.values(np.eye(5, dtype=np.float32)[:4], np.zeros((4, 1)))
     for i, target in enumerate(oracle):
-        got = value.q_value(q, eye[i], np.zeros(1))
-        assert got == pytest.approx(target, rel=0.05), f"state {i}"
+        assert got[i] == pytest.approx(target, rel=0.05), f"state {i}"
 
 
 def test_fqe_iteration_deltas_contract():
@@ -133,11 +133,9 @@ def test_fqe_reward_scaling_is_linear():
     q3 = value.fqe_train(
         chain_dataset(rewards, reward_scale=scale), value.FqeConfig(gamma=0.5, **FAST), seed=4
     )
-    eye = np.eye(5, dtype=np.float32)
-    for i in range(4):
-        a = value.q_value(q1, eye[i], np.zeros(1))
-        b = value.q_value(q3, eye[i], np.zeros(1))
-        assert b == pytest.approx(scale * a, rel=0.10)
+    s, a = np.eye(5, dtype=np.float32)[:4], np.zeros((4, 1))
+    for v1, v3 in zip(q1.values(s, a), q3.values(s, a)):
+        assert v3 == pytest.approx(scale * v1, rel=0.10)
 
 
 def test_fqe_respects_reward_transform():
@@ -148,9 +146,9 @@ def test_fqe_respects_reward_transform():
     )
     q = value.fqe_train(chain_dataset(rewards), cfg, seed=5)
     oracle = chain_q_oracle(tuple(2 * r for r in rewards), gamma)
-    eye = np.eye(5, dtype=np.float32)
+    got = q.values(np.eye(5, dtype=np.float32)[:4], np.zeros((4, 1)))
     for i, target in enumerate(oracle):
-        assert value.q_value(q, eye[i], np.zeros(1)) == pytest.approx(target, rel=0.05)
+        assert got[i] == pytest.approx(target, rel=0.05)
 
 
 def test_fqe_rejects_empty_and_pairless_datasets():
@@ -169,20 +167,20 @@ def test_q_value_zero_network():
     net.weights[-1][:] = 0.0
     net.biases[-1][:] = 0.0
     q = value.QNetwork(net, np.zeros(3, np.float32), np.ones(3, np.float32))
-    assert value.q_value(q, np.zeros(2), np.zeros(1)) == 0.0
+    assert q.values(np.zeros((1, 2)), np.zeros((1, 1)))[0] == 0.0
 
 
 def test_q_value_deterministic():
     net = nn.DenseNet([3, 8, 1], rng=1)
     q = value.QNetwork(net, np.zeros(3, np.float32), np.ones(3, np.float32))
-    s, a = np.array([0.1, -0.2]), np.array([0.3])
-    assert value.q_value(q, s, a) == value.q_value(q, s, a)
+    s, a = np.array([[0.1, -0.2]]), np.array([[0.3]])
+    assert q.values(s, a)[0] == q.values(s, a)[0]
 
 
 def test_v_estimate_constant_q():
     behavior = behavior_singleton()
     stub = StubQ(lambda s, a: np.full(len(s), 7.25))
-    got = value.v_estimate(stub, behavior, np.zeros(2), k_q=16, rng=np.random.default_rng(0))
+    got = v_estimate(stub, behavior, np.zeros(2), k_q=16, rng=np.random.default_rng(0))
     assert got == pytest.approx(7.25, abs=1e-12)
 
 
@@ -190,7 +188,7 @@ def test_v_estimate_single_sample_equals_q_value():
     behavior = behavior_singleton()
     stub = StubQ(lambda s, a: a[:, 0].astype(np.float64) * 2.0 + 1.0)
     rng = np.random.default_rng(42)
-    got = value.v_estimate(stub, behavior, np.zeros(2), k_q=1, rng=rng)
+    got = v_estimate(stub, behavior, np.zeros(2), k_q=1, rng=rng)
     # replay the identical draw sequence
     rng2 = np.random.default_rng(42)
     member = behavior.members[int(rng2.integers(1))]
@@ -208,9 +206,9 @@ def test_v_estimate_matches_closed_form_gaussian_expectation():
     w, b = 3.0, -1.0
     stub = StubQ(lambda s, a: w * a[:, 0].astype(np.float64) + b)
     s = np.array([0.7, -0.3], np.float32)
-    params = adm.adm_gaussian_head(member, s, [])
+    params = adm_gaussian_head(member, s, [])
     k_q = 10_000
-    got = value.v_estimate(stub, behavior, s, k_q=k_q, rng=np.random.default_rng(8))
+    got = v_estimate(stub, behavior, s, k_q=k_q, rng=np.random.default_rng(8))
     expected = w * float(params.mean[0]) + b
     se = abs(w) * float(params.std[0]) / np.sqrt(k_q)
     assert abs(got - expected) < 3 * se
@@ -220,14 +218,14 @@ def test_v_estimate_shift_equivariance():
     behavior = behavior_singleton()
     base = StubQ(lambda s, a: np.sin(a[:, 0].astype(np.float64)))
     shifted = StubQ(lambda s, a: np.sin(a[:, 0].astype(np.float64)) + 4.5)
-    v1 = value.v_estimate(base, behavior, np.zeros(2), k_q=32, rng=np.random.default_rng(3))
-    v2 = value.v_estimate(shifted, behavior, np.zeros(2), k_q=32, rng=np.random.default_rng(3))
+    v1 = v_estimate(base, behavior, np.zeros(2), k_q=32, rng=np.random.default_rng(3))
+    v2 = v_estimate(shifted, behavior, np.zeros(2), k_q=32, rng=np.random.default_rng(3))
     assert v2 - v1 == pytest.approx(4.5, abs=1e-9)
 
 
 def test_v_estimate_requires_positive_sample_count():
     with pytest.raises(ConfigError):
-        value.v_estimate(StubQ(lambda s, a: np.zeros(len(s))), behavior_singleton(), np.zeros(2), 0, np.random.default_rng(0))
+        planner.PlannerConfig(value_samples=0)
 
 
 def test_q_checkpoint_round_trip(tmp_path):
