@@ -20,7 +20,6 @@ from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
 from .manifest import (
     format_floats,
-    parse_floats,
     parse_ints,
     read_manifest,
     write_manifest,
@@ -65,6 +64,12 @@ class AdmConfig:
             raise ConfigError("steps and batch size must be positive")
 
 
+def _net_layer_sizes(input_dim: int, output_dim: int, embed_width: int, head_hidden) -> list:
+    """Layer sizes of a model's embedding net, then of its head at each ordering position."""
+    heads = [[embed_width + i, *head_hidden, 2] for i in range(output_dim)]
+    return [[input_dim, embed_width], *heads]
+
+
 class AdmModel:
     """One autoregressive conditional Gaussian model."""
 
@@ -80,7 +85,11 @@ class AdmModel:
         sigma_min: float = nn.SIGMA_MIN,
         sigma_max: float = nn.SIGMA_MAX,
         rng=None,
+        nets=None,
     ):
+        """``nets`` (embedding net, then one head per position) are used as given,
+        e.g. loaded from a checkpoint; otherwise fresh ones are initialized from ``rng``.
+        """
         ordering = np.asarray(ordering, dtype=np.int64)
         if sorted(ordering.tolist()) != list(range(output_dim)):
             raise ValueError(f"ordering must be a permutation of 0..{output_dim - 1}")
@@ -93,12 +102,11 @@ class AdmModel:
         self.activation = activation
         self.sigma_min = float(sigma_min)
         self.sigma_max = float(sigma_max)
-        rng = np.random.default_rng(rng)
-        self.embed_net = nn.DenseNet([input_dim, embed_width], activation, rng=rng)
-        self.heads = [
-            nn.DenseNet([embed_width + i, *self.head_hidden, 2], activation, rng=rng)
-            for i in range(output_dim)
-        ]
+        if nets is None:
+            rng = np.random.default_rng(rng)
+            sizes = _net_layer_sizes(input_dim, output_dim, embed_width, self.head_hidden)
+            nets = [nn.DenseNet(s, activation, rng=rng) for s in sizes]
+        self.embed_net, *self.heads = nets
 
     def params(self):
         out = list(self.embed_net.params())
@@ -122,37 +130,36 @@ class AdmModel:
     def _embed(self, x_n: np.ndarray) -> np.ndarray:
         return nn.activate(nn.forward(self.embed_net, x_n), self.activation)
 
-    def _head(self, i: int, emb: np.ndarray, prefix_n: np.ndarray):
-        """Mean/std (normalized units) of the conditional at ordering position i."""
-        h_in = np.concatenate([emb, prefix_n], axis=1) if i else emb
-        out = nn.forward(self.heads[i], h_in)
-        mu = out[:, 0]
-        sigma = nn.std_from_raw(out[:, 1], self.sigma_min, self.sigma_max)
-        return mu, sigma
-
-    def _propagate(self, x_n: np.ndarray, eps=None, repeats: int = 1):
+    def _propagate(self, x_n: np.ndarray, eps=None, repeats: int = 1, with_std: bool = False):
         """Run the heads in ordering position order, feeding back realizations.
 
         With ``eps`` None each head is conditioned on the preceding means
         (mode propagation); otherwise realization i is mean + std * eps[:, i].
         Each input row stands for ``repeats`` output rows; the embedding and
         head 0, which see only the input, run once per input row.
-        Returns (values, means, stds), all (batch, output_dim) in position order.
+
+        The embedding is written once into a (batch, E + output_dim) buffer
+        whose column E + i receives realization i, so head i reads the
+        strided prefix view ``buf[:, :E + i]`` (BLAS takes it without a copy).
+        Returns (values, stds), both (batch, output_dim) in position order;
+        stds is None unless ``with_std`` or ``eps`` asks for them. Under mode
+        propagation the values are the conditional means.
         """
         emb = self._embed(x_n)
-        head0 = self._head(0, emb, None)
-        if repeats > 1:
-            emb = np.repeat(emb, repeats, axis=0)
-            head0 = tuple(np.repeat(v, repeats) for v in head0)
-        vals = np.zeros((emb.shape[0], self.output_dim), dtype=np.float32)
-        mus = np.zeros_like(vals)
-        sigmas = np.zeros_like(vals)
-        for i in range(self.output_dim):
-            mu, sigma = self._head(i, emb, vals[:, :i]) if i else head0
-            mus[:, i] = mu
-            sigmas[:, i] = sigma
-            vals[:, i] = mu if eps is None else mu + sigma * eps[:, i]
-        return vals, mus, sigmas
+        e, d = self.embed_width, self.output_dim
+        buf = np.empty((len(emb) * repeats, e + d), dtype=np.float32)
+        buf.reshape(len(emb), repeats, e + d)[:, :, :e] = emb[:, None, :]
+        vals = buf[:, e:]
+        sigmas = np.empty_like(vals) if with_std or eps is not None else None
+        for i in range(d):
+            out = nn.forward(self.heads[i], buf[:, : e + i] if i else emb)
+            if not i and repeats > 1:
+                out = np.repeat(out, repeats, axis=0)
+            mu = out[:, 0]
+            if sigmas is not None:
+                sigmas[:, i] = nn.std_from_raw(out[:, 1], self.sigma_min, self.sigma_max)
+            vals[:, i] = mu if eps is None else mu + sigmas[:, i] * eps[:, i]
+        return vals, sigmas
 
     def _scatter(self, positional: np.ndarray) -> np.ndarray:
         """Reorder position-indexed columns into output-dimension order."""
@@ -161,17 +168,17 @@ class AdmModel:
         return out
 
     def mode_normalized(self, x_n: np.ndarray) -> np.ndarray:
-        vals, _, _ = self._propagate(x_n)
+        vals, _ = self._propagate(x_n)
         return self._scatter(vals)
 
     def sample_normalized(self, x_n: np.ndarray, eps: np.ndarray, repeats: int = 1) -> np.ndarray:
         """Samples under noise ``eps``, ``repeats`` consecutive ones per row of ``x_n``."""
-        vals, _, _ = self._propagate(x_n, eps=eps, repeats=repeats)
+        vals, _ = self._propagate(x_n, eps=eps, repeats=repeats)
         return self._scatter(vals)
 
     def mean_std_normalized(self, x_n: np.ndarray):
         """Per-dimension conditional means/stds under mode propagation."""
-        _, mus, sigmas = self._propagate(x_n)
+        mus, sigmas = self._propagate(x_n, with_std=True)
         return self._scatter(mus), self._scatter(sigmas)
 
 
@@ -355,45 +362,50 @@ def load_ensemble(directory) -> AdmEnsemble:
         raise FormatError(f"{directory}: missing manifest.txt")
     entries = read_manifest(path)
     stats = NormStats(
-        x_mean=entries.parse("x_mean", parse_floats),
-        x_std=entries.parse("x_std", parse_floats),
-        o_mean=entries.parse("o_mean", parse_floats),
-        o_std=entries.parse("o_std", parse_floats),
+        x_mean=entries.parse_vector("x_mean", "input_dim"),
+        x_std=entries.parse_vector("x_std", "input_dim"),
+        o_mean=entries.parse_vector("o_mean", "output_dim"),
+        o_std=entries.parse_vector("o_std", "output_dim"),
     )
     k = entries.parse("k", int)
     if k < 1:
         raise FormatError(f"{path}: key 'k' must be a positive member count, got {k}")
+    input_dim, output_dim = entries.parse("input_dim", int), entries.parse("output_dim", int)
+    embed_width = entries.parse("embed_width", int)
+    head_hidden = tuple(entries.parse("head_hidden", parse_ints))
+    activation = entries["activation"]
+    sigma_min, sigma_max = entries.parse("sigma_min", float), entries.parse("sigma_max", float)
+    # the nets are built from their files, and must have the sizes the manifest describes
+    sizes = _net_layer_sizes(input_dim, output_dim, embed_width, head_hidden)
+    names = [("embed", "input_dim, embed_width")]
+    names += [(f"head_{i:02d}", "embed_width, head_hidden") for i in range(output_dim)]
     members = []
     for j in range(k):
-        try:
-            model = AdmModel(
-                entries.parse("input_dim", int),
-                entries.parse("output_dim", int),
-                entries.parse(f"ordering_{j}", parse_ints),
-                stats,
-                embed_width=entries.parse("embed_width", int),
-                head_hidden=tuple(entries.parse("head_hidden", parse_ints)),
-                activation=entries["activation"],
-                sigma_min=entries.parse("sigma_min", float),
-                sigma_max=entries.parse("sigma_max", float),
-                rng=0,
-            )
-        except ValueError as err:  # sizes or activation the nets reject
-            raise FormatError(f"{path}: {err}") from None
-        # the model keeps the manifest's sizes, so its nets must have them too
-        built = [(model.embed_net, "embed", "input_dim, embed_width")]
-        built += [(head, f"head_{i:02d}", "embed_width, head_hidden") for i, head in enumerate(model.heads)]
-        loaded = []
-        for net, name, keys in built:
+        nets = []
+        for want, (name, keys) in zip(sizes, names):
             net_path = os.path.join(directory, f"member_{j:03d}_{name}.nn")
             got = nn.load_net(net_path)
-            if got.layer_sizes != net.layer_sizes or got.activation != net.activation:
+            if got.layer_sizes != want or got.activation != activation:
                 raise FormatError(
-                    f"{path}: keys {keys}, activation describe a {net.activation} net of "
-                    f"layer sizes {net.layer_sizes}, but {net_path} holds a {got.activation} "
+                    f"{path}: keys {keys}, activation describe a {activation} net of "
+                    f"layer sizes {want}, but {net_path} holds a {got.activation} "
                     f"net of {got.layer_sizes}"
                 )
-            loaded.append(got)
-        model.embed_net, *model.heads = loaded
+            nets.append(got)
+        try:
+            model = AdmModel(
+                input_dim,
+                output_dim,
+                entries.parse(f"ordering_{j}", parse_ints),
+                stats,
+                embed_width=embed_width,
+                head_hidden=head_hidden,
+                activation=activation,
+                sigma_min=sigma_min,
+                sigma_max=sigma_max,
+                nets=nets,
+            )
+        except ValueError as err:  # an ordering that is no permutation
+            raise FormatError(f"{path}: {err}") from None
         members.append(model)
     return AdmEnsemble(members=members, role=entries["role"], stats=stats)

@@ -47,6 +47,17 @@ class Manifest(dict):
         except ValueError as err:
             raise FormatError(f"{self.path}: bad value for key {key!r}: {err}") from None
 
+    def parse_vector(self, key, length_key) -> np.ndarray:
+        """Float values at ``key``; there must be as many as the integer at ``length_key``."""
+        values = self.parse(key, parse_floats)
+        length = self.parse(length_key, int)
+        if len(values) != length:
+            raise FormatError(
+                f"{self.path}: key {key!r} = {self[key]} holds {len(values)} values, "
+                f"but key {length_key!r} = {length}"
+            )
+        return values
+
 
 def read_manifest(path) -> Manifest:
     entries = Manifest(path)

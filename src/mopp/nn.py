@@ -37,6 +37,17 @@ class DenseNet:
     """Fully connected network; activation on hidden layers, linear output."""
 
     def __init__(self, layer_sizes, activation="relu", rng=None, dtype=np.float32):
+        self._set_layout(layer_sizes, activation, dtype)
+        rng = np.random.default_rng(rng)
+        self.weights = []
+        self.biases = []
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            limit = math.sqrt(6.0 / (n_in + n_out))
+            w = rng.uniform(-limit, limit, size=(n_in, n_out)).astype(self.dtype)
+            self.weights.append(w)
+            self.biases.append(np.zeros(n_out, dtype=self.dtype))
+
+    def _set_layout(self, layer_sizes, activation, dtype) -> None:
         layer_sizes = [int(n) for n in layer_sizes]
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -47,14 +58,14 @@ class DenseNet:
         self.layer_sizes = layer_sizes
         self.activation = activation
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(rng)
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            limit = math.sqrt(6.0 / (n_in + n_out))
-            w = rng.uniform(-limit, limit, size=(n_in, n_out)).astype(self.dtype)
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out, dtype=self.dtype))
+
+    @classmethod
+    def from_params(cls, weights, biases, activation="relu") -> "DenseNet":
+        """A net holding the arrays ``weights`` and ``biases`` themselves; sizes follow from their shapes."""
+        net = cls.__new__(cls)
+        net._set_layout([weights[0].shape[0], *(w.shape[1] for w in weights)], activation, weights[0].dtype)
+        net.weights, net.biases = list(weights), list(biases)
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -80,10 +91,9 @@ class DenseNet:
         return out
 
     def copy(self) -> "DenseNet":
-        dup = DenseNet(self.layer_sizes, self.activation, rng=0, dtype=self.dtype)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        return dup
+        return DenseNet.from_params(
+            [w.copy() for w in self.weights], [b.copy() for b in self.biases], self.activation
+        )
 
 
 def column_stats(x: np.ndarray):
@@ -329,27 +339,29 @@ def load_net(path) -> DenseNet:
     if len(data) < off + 4 * n_sizes + 1:
         raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
     sizes = list(struct.unpack_from(f"<{n_sizes}I", data, off))
+    if 0 in sizes:
+        raise FormatError(f"{path}: zero layer size at byte offset {off + 4 * sizes.index(0)}")
     off += 4 * n_sizes
     (tag,) = struct.unpack_from("<B", data, off)
     off += 1
     if tag not in _TAG_ACTS:
         raise FormatError(f"{path}: unknown activation tag at byte offset {off - 1}")
-    net = DenseNet(sizes, _TAG_ACTS[tag], rng=0)
-    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+    weights, biases = [], []
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
         need = 4 * n_in * n_out
         if len(data) < off + need:
             raise FormatError(f"{path}: truncated weights at byte offset {len(data)}")
-        net.weights[i] = (
+        weights.append(
             np.frombuffer(data, dtype="<f4", count=n_in * n_out, offset=off)
             .reshape(n_in, n_out)
-            .copy()
+            .astype(np.float32)
         )
         off += need
         need = 4 * n_out
         if len(data) < off + need:
             raise FormatError(f"{path}: truncated biases at byte offset {len(data)}")
-        net.biases[i] = np.frombuffer(data, dtype="<f4", count=n_out, offset=off).copy()
+        biases.append(np.frombuffer(data, dtype="<f4", count=n_out, offset=off).astype(np.float32))
         off += need
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte offset {off}")
-    return net
+    return DenseNet.from_params(weights, biases, _TAG_ACTS[tag])

@@ -156,18 +156,19 @@ def _rollout_batch(
 ):
     """Roll ``len(start_states)`` trajectories in lockstep through the frozen models.
 
-    Every random quantity comes from ``rng`` as one array each, in this
+    The first stage of a plan step (roll out, prune, value tail, MPPI; see
+    :func:`plan_step`). Draws from ``rng``, one array each and in this
     order: behavior members (N, H), candidate normals (N, H, m, |A|) with
-    m = 1 when max-Q selection is off, dynamics members (N, H), and, with
-    the value bonus on, value members (N,) and value normals (N, K_Q, |A|).
+    m = 1 when max-Q selection is off, and dynamics members (N, H). The
+    value tail's draws follow in :func:`plan_step`, from the same Generator.
 
-    Returns (states (n,H,|S|), actions (n,H,|A|), returns (n,), uncertainty (n,H)).
-    Rollouts that produce a non-finite quantity are frozen in place and carry
-    infinite uncertainty from that step on; their returns stay finite.
+    Returns (actions (n,H,|A|), model returns (n,), uncertainty (n,H),
+    final states (n,|S|), alive (n,)). Rollouts that produce a non-finite
+    quantity are frozen in place, marked not alive, and carry infinite
+    uncertainty from that step on; their returns stay finite.
     """
     n = len(start_states)
     h = config.horizon
-    s_dim = bundle.dynamics.output_dim - 1
     a_dim = bundle.behavior.output_dim
     plan = np.asarray(plan, dtype=np.float32)
     if plan.shape != (h, a_dim):
@@ -179,7 +180,6 @@ def _rollout_batch(
     cand_eps = rng.standard_normal((n, h, m, a_dim))
     d_members = rng.integers(bundle.dynamics.k, size=(n, h))
 
-    states = np.zeros((n, h, s_dim), dtype=np.float32)
     actions = np.zeros((n, h, a_dim), dtype=np.float32)
     returns = np.zeros(n, dtype=np.float64)
     uncertainty = np.zeros((n, h), dtype=np.float64)
@@ -200,7 +200,6 @@ def _rollout_batch(
         if bad.any():
             a_mix[bad] = 0.0
             alive &= ~bad
-        states[:, t] = current
         actions[:, t] = a_mix
         uncertainty[~alive, t] = np.inf
 
@@ -230,31 +229,30 @@ def _rollout_batch(
             )
             uncertainty[live, t] = np.where(ok, u_row, np.inf)
             returns[live[ok]] += reward[ok]
-            current = current.copy()
             current[live[ok]] = next_states[ok].astype(np.float32)
             alive[live[~ok]] = False
+    return actions, returns, uncertainty, current, alive
 
-    if config.use_value:
-        v_members = rng.integers(bundle.behavior.k, size=n)
-        v_eps = rng.standard_normal((n, config.value_samples, a_dim))
-        live = np.flatnonzero(alive)
-        if bundle.q is not None and live.size:
-            # K_Q actions per live rollout from its value member; the samples of
-            # one state share its embedding and head-0 pass, one Q call scores all
-            k_q = config.value_samples
-            sampled = np.empty((live.size, k_q, a_dim), dtype=np.float32)
-            for k, member in enumerate(bundle.behavior.members):
-                rows = np.flatnonzero(v_members[live] == k)
-                if rows.size:
-                    x_n = member.normalize_x(current[live[rows]])
-                    eps = v_eps[live[rows]].reshape(rows.size * k_q, a_dim)
-                    sampled[rows] = member.denormalize_o(
-                        member.sample_normalized(x_n, eps, repeats=k_q)
-                    ).reshape(rows.size, k_q, a_dim)
-            qv = bundle.q.values(np.repeat(current[live], k_q, axis=0), sampled.reshape(-1, a_dim))
-            v = qv.reshape(live.size, k_q).mean(axis=1)
-            returns[live] += np.where(np.isfinite(v), v, 0.0)
-    return states, actions, returns, uncertainty
+
+def _value_tail(states, behavior: AdmEnsemble, q: QNetwork, members, eps) -> np.ndarray:
+    """MBOP's horizon value per row of ``states``: mean Q over K_Q behavior samples.
+
+    Row r samples its K_Q actions from ``behavior.members[members[r]]`` under
+    normals ``eps[r]`` (K_Q, |A|); the samples of one state share its
+    embedding and head-0 pass, and one Q call scores all of them. A
+    non-finite mean counts as 0.
+    """
+    n, k_q, a_dim = eps.shape
+    sampled = np.empty((n, k_q, a_dim), dtype=np.float32)
+    for k, member in enumerate(behavior.members):
+        rows = np.flatnonzero(members == k)
+        if rows.size:
+            x_n = member.normalize_x(states[rows])
+            sampled[rows] = member.denormalize_o(
+                member.sample_normalized(x_n, eps[rows].reshape(rows.size * k_q, a_dim), repeats=k_q)
+            ).reshape(rows.size, k_q, a_dim)
+    v = q.values(np.repeat(states, k_q, axis=0), sampled.reshape(-1, a_dim)).reshape(n, k_q).mean(axis=1)
+    return np.where(np.isfinite(v), v, 0.0)
 
 
 def prune_indices(u: np.ndarray, threshold: float, n_min: int) -> np.ndarray:
@@ -311,33 +309,46 @@ def plan_step(
     plan: np.ndarray,
     seed,
 ):
-    """One MPC step: shoot N rollouts, prune, re-weight; execute the plan head.
+    """One MPC step: roll out N rollouts, prune, add the value tail, re-weight with MPPI.
+
+    The value tail (MBOP's horizon value) runs only on the rollouts kept by
+    pruning that are still alive, the only returns MPPI reads.
 
     ``seed`` (an int or tuple of ints) determines every random draw: one
     Generator keyed by the seed draws each random quantity of all N
-    rollouts as one array (see :func:`_rollout_batch` for the layout), so
-    results do not depend on the order in which rollouts are evaluated.
+    rollouts as one array, so results do not depend on the order in which
+    rollouts are evaluated. The rollout draws come first (see
+    :func:`_rollout_batch`); with the value bonus on, value members (N,)
+    and value normals (N, K_Q, |A|) follow. They are drawn for all N
+    rollouts, the same layout as a tail over every rollout, so a kept
+    rollout's bonus does not depend on which others were pruned.
+    Diagnostics report the return mean/max over the kept rollouts.
     Returns (action, updated plan, diagnostics).
     """
-    starts = np.broadcast_to(
-        np.asarray(state, dtype=np.float32), (config.n_rollouts, len(state))
-    )
-    states, actions, returns, u = _rollout_batch(
-        starts, bundle, plan, config, constraints, np.random.default_rng(_seed_key(seed))
-    )
+    n = config.n_rollouts
+    starts = np.broadcast_to(np.asarray(state, dtype=np.float32), (n, len(state)))
+    rng = np.random.default_rng(_seed_key(seed))
+    actions, returns, u, final, alive = _rollout_batch(starts, bundle, plan, config, constraints, rng)
     if config.use_pruning:
         keep = prune_indices(u, config.uncertainty_threshold, config.n_min)
     else:
-        keep = np.arange(config.n_rollouts)
-    new_plan = mppi_update(actions[keep], returns[keep], config.kappa)
+        keep = np.arange(n)
+    if config.use_value:
+        v_members = rng.integers(bundle.behavior.k, size=n)
+        v_eps = rng.standard_normal((n, config.value_samples, bundle.behavior.output_dim))
+        rows = keep[alive[keep]]
+        if bundle.q is not None and rows.size:
+            returns[rows] += _value_tail(final[rows], bundle.behavior, bundle.q, v_members[rows], v_eps[rows])
+    kept_returns = returns[keep]
+    new_plan = mppi_update(actions[keep], kept_returns, config.kappa)
     finite_u = u[np.isfinite(u)]
     diag = StepDiagnostics(
-        return_mean=float(returns.mean()),
-        return_max=float(returns.max()),
+        return_mean=float(kept_returns.mean()),
+        return_max=float(kept_returns.max()),
         surviving=int(keep.size),
         u_mean=float(finite_u.mean()) if finite_u.size else math.inf,
         u_max=float(u.max()),
-        )
+    )
     return new_plan[0].copy(), new_plan, diag
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import nn
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
-from .manifest import format_floats, parse_floats, read_manifest, write_manifest
+from .manifest import format_floats, read_manifest, write_manifest
 
 Q_HIDDEN = (500, 500)
 
@@ -164,12 +164,10 @@ def load_q(directory) -> QNetwork:
         raise FormatError(
             f"{path}: key 'input_dim' = {input_dim}, but {net_path} takes {net.input_dim} inputs"
         )
-    x_mean = entries.parse("x_mean", parse_floats)
-    x_std = entries.parse("x_std", parse_floats)
-    for key, values in (("x_mean", x_mean), ("x_std", x_std)):
-        if len(values) != input_dim:
-            raise FormatError(
-                f"{path}: key {key!r} = {entries[key]} holds {len(values)} values, "
-                f"but key 'input_dim' = {input_dim}"
-            )
-    return QNetwork(net, x_mean, x_std, entries.parse("y_mean", float), entries.parse("y_std", float))
+    return QNetwork(
+        net,
+        entries.parse_vector("x_mean", "input_dim"),
+        entries.parse_vector("x_std", "input_dim"),
+        entries.parse("y_mean", float),
+        entries.parse("y_std", float),
+    )

@@ -3,13 +3,17 @@
 Each one is the paper's definition for one input, written out directly:
 the Gaussian conditional of one autoregressive head, its negative log
 density, and the value estimate of one state as the mean Q over K_Q
-behavior samples.
+behavior samples. ``propagate_concat`` is the autoregressive pass with each
+head's input built by concatenation, the layout the library's shared
+prefix buffer replaces.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from mopp import nn
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -58,10 +62,40 @@ def adm_gaussian_head(model, x, realized_prefix) -> GaussianParams:
     dims = model.ordering[:i]
     prefix_n = (prefix - model.stats.o_mean[dims]) / model.stats.o_std[dims]
     emb = model._embed(model.normalize_x(x)[None, :])
-    mu_n, sigma_n = model._head(i, emb, prefix_n[None, :])
+    mu_n, sigma_n = head_conditional(model, i, emb, prefix_n[None, :])
     dim = model.ordering[i]
     scale = model.stats.o_std[dim]
     return GaussianParams(mean=mu_n * scale + model.stats.o_mean[dim], std=sigma_n * scale)
+
+
+def head_conditional(model, i, emb, prefix_n):
+    """Normalized mean/std of head ``i`` on ``[emb | prefix_n]``, its input concatenated."""
+    out = nn.forward(model.heads[i], np.concatenate([emb, prefix_n], axis=1) if i else emb)
+    return out[:, 0], nn.std_from_raw(out[:, 1], model.sigma_min, model.sigma_max)
+
+
+def propagate_concat(model, x_n, eps=None, repeats=1):
+    """(values, means, stds) in output-dimension order, one concatenated input per head.
+
+    Mode propagation with ``eps`` None, sampling otherwise; each row of
+    ``x_n`` stands for ``repeats`` output rows, and the embedding and head 0
+    run once per input row.
+    """
+    emb = model._embed(x_n)
+    head0 = head_conditional(model, 0, emb, None)
+    if repeats > 1:
+        emb = np.repeat(emb, repeats, axis=0)
+        head0 = tuple(np.repeat(v, repeats) for v in head0)
+    vals = np.zeros((emb.shape[0], model.output_dim), dtype=np.float32)
+    mus = np.zeros_like(vals)
+    sigmas = np.zeros_like(vals)
+    for i in range(model.output_dim):
+        mu, sigma = head_conditional(model, i, emb, vals[:, :i]) if i else head0
+        mus[:, i] = mu
+        sigmas[:, i] = sigma
+        vals[:, i] = mu if eps is None else mu + sigma * eps[:, i]
+    scatter = np.argsort(model.ordering)
+    return vals[:, scatter], mus[:, scatter], sigmas[:, scatter]
 
 
 def v_estimate(q, behavior, s, k_q: int, rng) -> float:

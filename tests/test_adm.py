@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mopp import adm, data, envs, nn, planner
 from mopp.errors import ConfigError, DataError, TrainingDiverged
-from reference import adm_gaussian_head, gaussian_nll
+from reference import adm_gaussian_head, gaussian_nll, propagate_concat
 
 
 def toy_dataset(x, o, role="behavior"):
@@ -186,6 +186,28 @@ def test_sample_with_repeats_matches_repeated_rows(embed, hidden, unique):
     np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 100, 255, 383])
+@pytest.mark.parametrize("embed, hidden, activation", [(500, (200, 100), "relu"), (16, (16, 8), "tanh")])
+def test_prefix_buffer_propagation_equals_concat_replay(rows, embed, hidden, activation):
+    # heads read strided prefix views of one buffer; the per-head concat
+    # replay does the same arithmetic on contiguous inputs, so results match
+    # exactly up to one forward block (383 rows)
+    model = adm.AdmModel(4, 5, [3, 1, 4, 0, 2], identity_stats(4, 5), embed_width=embed,
+                         head_hidden=hidden, activation=activation, rng=6)
+    rng = np.random.default_rng(rows)
+    x_n = rng.normal(size=(rows, 4)).astype(np.float32)
+    vals, mus, sigmas = propagate_concat(model, x_n)
+    np.testing.assert_array_equal(model.mode_normalized(x_n), vals)
+    got_mu, got_sigma = model.mean_std_normalized(x_n)
+    np.testing.assert_array_equal(got_mu, mus)
+    np.testing.assert_array_equal(got_sigma, sigmas)
+    for repeats in (1, 3):
+        unique = max(1, rows // repeats)
+        eps = rng.standard_normal((unique * repeats, 5))
+        want, _, _ = propagate_concat(model, x_n[:unique], eps, repeats)
+        np.testing.assert_array_equal(model.sample_normalized(x_n[:unique], eps, repeats=repeats), want)
+
+
 def test_behavior_distribution_single_dim_equals_head():
     model = adm.AdmModel(3, 1, [0], identity_stats(3, 1), embed_width=16, head_hidden=(8,), rng=1)
     s = np.array([0.2, 0.4, -0.6], np.float32)
@@ -324,7 +346,7 @@ def test_trained_members_agree_on_training_inputs():
     assert gap.max() < 0.05
 
 
-def test_ensemble_checkpoint_round_trip(tmp_path):
+def test_ensemble_checkpoint_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(400, 3)).astype(np.float32)
     o = rng.normal(size=(400, 2)).astype(np.float32)
@@ -332,7 +354,9 @@ def test_ensemble_checkpoint_round_trip(tmp_path):
     ens = adm.adm_train(toy_dataset(x, o), "behavior", cfg, seed=9)
     d1, d2 = tmp_path / "ens1", tmp_path / "ens2"
     adm.save_ensemble(ens, d1)
-    loaded = adm.load_ensemble(d1)
+    with monkeypatch.context() as m:  # no randomly initialized net is built and thrown away
+        m.setattr(nn.DenseNet, "__init__", None)
+        loaded = adm.load_ensemble(d1)
     adm.save_ensemble(loaded, d2)
     for name in sorted(p.name for p in d1.iterdir()):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name

@@ -146,6 +146,27 @@ def test_evaluate_is_byte_deterministic(pipeline_dir):
     assert (out / "results.csv").read_bytes() == first
 
 
+def test_evaluate_with_rollout_penalty_is_byte_deterministic(tmp_path):
+    # which rollouts get a value tail depends on pruning, and so on the
+    # velocity_rollout hook's penalty; the written files must not vary
+    cfg_path = tmp_path / "run.cfg"
+    constrained = TINY_CONFIG.replace(
+        "[data]", "env = pointmass_constrained\nv_cap = 0.05\n\n[constraint]\nmode = velocity_rollout\n\n[data]"
+    )
+    cfg_path.write_text(constrained)
+    base = ["--config", str(cfg_path), "--out", str(tmp_path), "--quiet"]
+    for command in ("gen-data", "train-dynamics", "train-behavior", "train-q", "evaluate"):
+        assert cli.main([command, *base]) == 0, command
+    names = ("results.csv", "diagnostics.csv")
+    first = [(tmp_path / name).read_bytes() for name in names]
+    assert cli.main(["evaluate", *base]) == 0
+    assert [(tmp_path / name).read_bytes() for name in names] == first
+    # the hook binds: without it, pruning keeps other rollouts
+    cfg_path.write_text(constrained.replace("mode = velocity_rollout", "mode = none"))
+    assert cli.main(["evaluate", *base]) == 0
+    assert (tmp_path / "diagnostics.csv").read_bytes() != first[1]
+
+
 def test_ablate_grid_row_count(pipeline_dir):
     out, base = pipeline_dir
     assert cli.main(["ablate", *base]) == 0
@@ -289,6 +310,7 @@ def test_manifest_missing_key_names_key_and_file(pipeline_dir, tmp_path, directo
     [
         "k = two", "k = -1", "activation = swish", "embed_width = 7",
         "input_dim = 9 in q", "x_std = 1.5 in q", "delete q.nn",
+        "drop one x_mean", "drop one x_std", "drop one o_mean", "drop one o_std",
     ],
 )
 def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_path, capsys, edit):
@@ -298,6 +320,16 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
     if edit == "delete q.nn":
         broken, needles = copy / "q" / "q.nn", ("q.nn",)
         broken.unlink()
+    elif edit.startswith("drop one "):  # a normalization vector one value short
+        key = edit[len("drop one "):]
+        broken = copy / "dynamics" / "manifest.txt"
+        lines = broken.read_text().splitlines(keepends=True)
+        values = next(line for line in lines if line.startswith(f"{key} =")).split("=")[1].strip().split(",")
+        dim_key = "input_dim" if key.startswith("x_") else "output_dim"
+        needles = (key, f"holds {len(values) - 1} values", f"'{dim_key}' = {len(values)}")
+        broken.write_text("".join(
+            f"{key} = {','.join(values[1:])}\n" if line.startswith(f"{key} =") else line for line in lines
+        ))
     else:
         edit, _, directory = edit.partition(" in ")  # the dynamics manifest unless named
         key, _, bad = edit.partition(" = ")

@@ -293,12 +293,14 @@ def test_adam_state_accumulator_shapes_track_params():
         assert p.shape == m.shape == v.shape
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
+def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch):
     net = nn.DenseNet([3, 7, 2], activation="tanh", rng=13)
     p1 = tmp_path / "a.nn"
     p2 = tmp_path / "b.nn"
     nn.save_net(net, p1)
-    loaded = nn.load_net(p1)
+    with monkeypatch.context() as m:  # loading builds the net from the file's arrays alone
+        m.setattr(nn.DenseNet, "__init__", None)
+        loaded = nn.load_net(p1)
     nn.save_net(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.layer_sizes == net.layer_sizes
@@ -332,3 +334,23 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         nn.load_net(p)
+
+
+def test_checkpoint_zero_layer_size_names_offset(tmp_path):
+    net = nn.DenseNet([3, 5, 2], rng=1)
+    p = tmp_path / "net.nn"
+    nn.save_net(net, p)
+    blob = bytearray(p.read_bytes())
+    blob[16:20] = (0).to_bytes(4, "little")  # the hidden size, second of three
+    p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="zero layer size at byte offset 16"):
+        nn.load_net(p)
+
+
+def test_copy_is_an_independent_equal_net():
+    net = nn.DenseNet([3, 5, 2], activation="tanh", rng=2)
+    dup = net.copy()
+    assert dup.layer_sizes == net.layer_sizes and dup.activation == net.activation
+    for a, b in zip(net.params(), dup.params()):
+        np.testing.assert_array_equal(a, b)
+        assert a is not b

@@ -80,8 +80,9 @@ class RowReplay:
     def __init__(self, arrays, i):
         self._rows = iter([a[i : i + 1] for a in arrays])
 
-    def integers(self, high, size):
-        return next(self._rows).reshape(size)
+    def integers(self, high, size=None):
+        row = next(self._rows)
+        return row.item() if size is None else row.reshape(size)
 
     def standard_normal(self, shape):
         return next(self._rows).reshape(shape)
@@ -194,7 +195,7 @@ def test_rollout_beta_one_follows_shifted_plan_exactly():
     cfg = PlannerConfig(horizon=3, beta=1.0, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
     plan = np.arange(6, dtype=np.float32).reshape(3, 2)
     s0 = np.zeros((1, 3), np.float32)
-    _, actions, _, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(0))
+    actions, *_ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(0))
     expected = np.stack([plan[1], plan[2], plan[2]])  # A*_{t+1}, tail repeats last
     np.testing.assert_array_equal(actions[0], expected)
 
@@ -205,8 +206,8 @@ def test_rollout_beta_zero_ignores_plan():
     plan_a = np.zeros((3, 2), np.float32)
     plan_b = np.full((3, 2), 9.0, np.float32)
     s0 = np.zeros((1, 3), np.float32)
-    _, a1, _, _ = planner._rollout_batch(s0, bundle, plan_a, cfg, NO_C, np.random.default_rng(1))
-    _, a2, _, _ = planner._rollout_batch(s0, bundle, plan_b, cfg, NO_C, np.random.default_rng(1))
+    a1, *_ = planner._rollout_batch(s0, bundle, plan_a, cfg, NO_C, np.random.default_rng(1))
+    a2, *_ = planner._rollout_batch(s0, bundle, plan_b, cfg, NO_C, np.random.default_rng(1))
     np.testing.assert_array_equal(a1, a2)
 
 
@@ -214,7 +215,7 @@ def test_rollout_identical_members_zero_uncertainty():
     bundle = toy_bundle(k1=3)
     cfg = PlannerConfig(horizon=4, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
     s0, plan = np.zeros((1, 3), np.float32), planner.initial_plan(4, 2)
-    *_, u = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(2))
+    _, _, u, _, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(2))
     np.testing.assert_array_equal(u, np.zeros((1, 4)))
 
 
@@ -222,10 +223,10 @@ def test_rollout_accumulates_mean_reward_and_steps_dynamics():
     bundle = toy_bundle(reward=0.5, drift=0.1)
     cfg = PlannerConfig(horizon=4, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
     s0, plan = np.zeros((1, 3), np.float32), planner.initial_plan(4, 2)
-    states, _, returns, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(3))
+    _, returns, _, final, alive = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(3))
     assert returns[0] == pytest.approx(4 * 0.5, abs=1e-5)
-    np.testing.assert_allclose(states[0, 1], s0[0] + 0.1, atol=1e-6)
-    np.testing.assert_allclose(states[0, 3], s0[0] + 0.1, atol=1e-6)  # constant heads: s' fixed
+    np.testing.assert_allclose(final[0], s0[0] + 0.1, atol=1e-6)  # constant heads: s' fixed
+    assert alive[0]
 
 
 def test_rollout_applies_reward_transform_and_penalty():
@@ -235,7 +236,7 @@ def test_rollout_applies_reward_transform_and_penalty():
         reward_transform=lambda s, a, r: 0.5 * np.asarray(r),
         rollout_penalty=lambda s, a: np.full(len(s), 0.75),
     )
-    _, _, returns, u = planner._rollout_batch(
+    _, returns, u, _, _ = planner._rollout_batch(
         np.zeros((1, 3), np.float32), bundle, planner.initial_plan(3, 2), cfg, constraints, np.random.default_rng(4)
     )
     assert returns[0] == pytest.approx(3 * 0.5, abs=1e-5)
@@ -251,11 +252,13 @@ def test_rollout_nonfinite_dynamics_flags_remaining_steps():
     for head in bundle.dynamics.members[0].heads:
         head.weights[0][:] = np.float32(1e30)
     cfg = PlannerConfig(horizon=4, use_value=False, use_max_q=False, n_rollouts=1, sigma_scale=0.5)
-    states, actions, returns, u = planner._rollout_batch(
+    actions, returns, u, final, alive = planner._rollout_batch(
         np.ones((1, 3), np.float32), bundle, planner.initial_plan(4, 2), cfg, NO_C, np.random.default_rng(5)
     )
     assert np.isfinite(returns[0])
-    assert np.all(np.isfinite(states)) and np.all(np.isfinite(actions))
+    assert np.all(np.isfinite(final)) and np.all(np.isfinite(actions))
+    np.testing.assert_array_equal(final[0], 1.0)  # frozen at the start state
+    assert not alive[0]
     assert np.all(np.isinf(u))  # poisoned from the first step on
     assert actions.shape == (1, 4, 2)
 
@@ -265,19 +268,15 @@ def test_rollout_value_bonus_matches_v_estimate_replay():
     bundle = toy_bundle(q=q)
     cfg = PlannerConfig(horizon=2, use_max_q=False, use_value=True, value_samples=6, n_rollouts=1, sigma_scale=0.5)
     s0, plan = np.zeros((1, 3), np.float32), planner.initial_plan(2, 2)
-    _, _, ret, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, np.random.default_rng(77))
+    _, _, diag = planner.plan_step(s0[0], bundle, cfg, NO_C, plan, seed=(77,))
 
-    replay = np.random.default_rng(77)
-    cfg_no_v = PlannerConfig(horizon=2, use_max_q=False, use_value=False, n_rollouts=1, sigma_scale=0.5)
-    _, _, base_ret, _ = planner._rollout_batch(s0, bundle, plan, cfg_no_v, NO_C, np.random.default_rng(77))
-    # replay the exact draw layout at N = 1: behavior members (1, H), eps
-    # (1, H, 1, |A|), dynamics members (1, H), then the value draws
-    replay.integers(2, size=(1, 2))
-    replay.standard_normal((1, 2, 1, 2))
-    replay.integers(2, size=(1, 2))
-    s_h = np.full(3, 0.1, np.float32)  # constant drift lands every state at 0.1
-    bonus = v_estimate(q, bundle.behavior, s_h, 6, replay)
-    assert ret[0] == pytest.approx(base_ret[0] + bonus, rel=1e-6)
+    replay = np.random.default_rng([77])
+    _, base_ret, _, final, _ = planner._rollout_batch(s0, bundle, plan, cfg, NO_C, replay)
+    # the rollout drew behavior members (1, H), eps (1, H, 1, |A|) and
+    # dynamics members (1, H); the value draws follow from the same Generator
+    np.testing.assert_allclose(final[0], 0.1, atol=1e-6)  # constant drift lands every state at 0.1
+    bonus = v_estimate(q, bundle.behavior, final[0], 6, replay)
+    assert diag.return_mean == pytest.approx(base_ret[0] + bonus, rel=1e-6)
 
 
 # --- pruning ---
@@ -389,39 +388,142 @@ def test_plan_step_equals_manual_composition():
     action, new_plan, diag = planner.plan_step(state, bundle, cfg, NO_C, plan0, seed=(17, 3))
 
     # one Generator keyed by the seed draws every rollout's randomness as
-    # arrays; rollout n replays row n of them through the N = 1 path
+    # arrays; rollout n replays row n of them through the N = 1 path, then
+    # the kept, alive rows take their value tail from the same rows
     draws = draw_layout(np.random.default_rng([17, 3]), cfg, cfg.n_rollouts, 2, 2, 2)
+    replays = [RowReplay(draws, n) for n in range(cfg.n_rollouts)]
     rows = [
-        planner._rollout_batch(state[None, :], bundle, plan0, cfg, NO_C, RowReplay(draws, n))
+        planner._rollout_batch(state[None, :], bundle, plan0, cfg, NO_C, replays[n])
         for n in range(cfg.n_rollouts)
     ]
-    actions, returns, us = (np.concatenate([r[i] for r in rows]) for i in (1, 2, 3))
+    actions, returns, us, finals, alive = (np.concatenate([r[i] for r in rows]) for i in range(5))
     keep = prune_indices(us, cfg.uncertainty_threshold, cfg.n_min)
+    for n in keep[alive[keep]]:
+        v_members = replays[n].integers(2, size=1)
+        v_eps = replays[n].standard_normal((1, cfg.value_samples, 2))
+        returns[n] += planner._value_tail(finals[n : n + 1], bundle.behavior, bundle.q, v_members, v_eps)[0]
     manual_plan = planner.mppi_update(actions[keep], returns[keep], cfg.kappa)
     np.testing.assert_allclose(new_plan, manual_plan, atol=1e-6)
     np.testing.assert_allclose(action, manual_plan[0], atol=1e-6)
     assert diag.surviving == len(keep)
+    assert diag.return_mean == pytest.approx(returns[keep].mean(), rel=1e-6)
+    assert diag.return_max == pytest.approx(returns[keep].max(), rel=1e-6)
 
 
+def random_bundle():
+    """3 disagreeing random dynamics members, 3 random behavior members and a random Q net (|S| 3, |A| 2)."""
+    dyn = [random_model(5, 4, rng=20 + j) for j in range(3)]
+    beh = [random_model(3, 2, rng=30 + j) for j in range(3)]
+    return ModelBundle(
+        dynamics=adm.AdmEnsemble(members=dyn, role="dynamics", stats=dyn[0].stats),
+        behavior=adm.AdmEnsemble(members=beh, role="behavior", stats=beh[0].stats),
+        q=value.QNetwork(nn.DenseNet([5, 16, 1], rng=5), np.zeros(5), np.ones(5)),
+    )
+
+
+def plan_step_tail_on_all_rows(state, bundle, config, constraints, plan, seed):
+    """Oracle plan step: value tail on every live rollout, then prune, then MPPI.
+
+    Each live row's tail is the single-state definition ``v_estimate``,
+    replaying that row of the value draws. Returns (plan, returns, kept
+    indices, alive mask).
+    """
+    n = config.n_rollouts
+    rng = np.random.default_rng(list(seed))
+    starts = np.broadcast_to(state, (n, len(state)))
+    actions, returns, u, final, alive = planner._rollout_batch(starts, bundle, plan, config, constraints, rng)
+    if config.use_value:
+        v_draws = [
+            rng.integers(bundle.behavior.k, size=n),
+            rng.standard_normal((n, config.value_samples, bundle.behavior.output_dim)),
+        ]
+        for r in np.flatnonzero(alive):
+            v = v_estimate(bundle.q, bundle.behavior, final[r], config.value_samples, RowReplay(v_draws, r))
+            returns[r] += v if np.isfinite(v) else 0.0
+    keep = prune_indices(u, config.uncertainty_threshold, config.n_min) if config.use_pruning else np.arange(n)
+    return planner.mppi_update(actions[keep], returns[keep], config.kappa), returns, keep, alive
+
+
+def kill_positive_first_action(s, a):
+    """Rollout penalty that ends (infinite uncertainty) every rollout whose action has a[0] > 1."""
+    return np.where(np.asarray(a)[:, 0] > 1.0, np.inf, 0.0)
+
+
+# planner settings and hooks: (PlannerConfig overrides, constraints)
+PRUNING_CASES = {
+    "backfill": (dict(uncertainty_threshold=1e-30), NO_C),
+    "threshold": (dict(uncertainty_threshold=1.5), NO_C),
+    "dead_rows_kept": (dict(uncertainty_threshold=1e-30, n_min=80),
+                       ConstraintConfig(rollout_penalty=kill_positive_first_action)),
+    "no_pruning": (dict(use_pruning=False), NO_C),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+@pytest.mark.parametrize("seed", [(0, 0), (3, 7)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_plan_step_matches_tail_on_all_rows_oracle(case, seed):
+    bundle = random_bundle()
+    overrides, constraints = PRUNING_CASES[case]
+    cfg = PlannerConfig(sigma_scale=0.6, **overrides)
+    state = np.array([0.3, -0.2, 0.1], np.float32)
+    plan0 = np.random.default_rng(1).normal(size=(cfg.horizon, 2)).astype(np.float32)
+    _, got, diag = planner.plan_step(state, bundle, cfg, constraints, plan0, seed=seed)
+    want, returns, keep, alive = plan_step_tail_on_all_rows(state, bundle, cfg, constraints, plan0, seed)
+    if case == "dead_rows_kept":
+        assert 0 < alive[keep].sum() < keep.size
+    elif cfg.use_pruning:
+        assert 0 < keep.size < cfg.n_rollouts
+    assert diag.surviving == keep.size
+    # diagnostics describe the returns MPPI weighs: those of the kept rollouts
+    assert diag.return_mean == pytest.approx(returns[keep].mean(), rel=1e-6)
+    assert diag.return_max == pytest.approx(returns[keep].max(), rel=1e-6)
+    # only GEMM row counts differ between the two, so the plans agree to rounding
+    tol = 64 * np.finfo(np.float32).eps
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_plan_step_calls_q_once_per_horizon_step_and_once_for_the_tail(monkeypatch):
     # default planner shape with 3 behavior members: a per-member Q call
-    # would make (H + 1) * k2 = 15 calls instead of H + 1 = 5
-    bundle = toy_bundle(k1=3)
-    bmodels = [random_model(3, 2, rng=j) for j in range(3)]
-    bundle.behavior = adm.AdmEnsemble(members=bmodels, role="behavior", stats=bmodels[0].stats)
-    bundle.q = value.QNetwork(nn.DenseNet([5, 16, 1], rng=0), np.zeros(5), np.ones(5))
-    cfg = PlannerConfig()
-    calls = []
-    real = value.QNetwork.values
+    # would make (H + 1) * k2 = 15 calls instead of H + 1 = 5; the tail
+    # scores only the rollouts that survive pruning and are still alive
+    bundle = random_bundle()
+    calls, seen = [], {}
+    real_values, real_rollout, real_prune = value.QNetwork.values, planner._rollout_batch, planner.prune_indices
 
     def counting(self, states, actions):
         calls.append(len(states))
-        return real(self, states, actions)
+        return real_values(self, states, actions)
+
+    def rollout(*args):
+        out = real_rollout(*args)
+        seen["alive"] = out[4].copy()
+        return out
+
+    def prune(*args):
+        seen["keep"] = real_prune(*args)
+        return seen["keep"]
 
     monkeypatch.setattr(value.QNetwork, "values", counting)
-    planner.plan_step(np.zeros(3, np.float32), bundle, cfg, NO_C, planner.initial_plan(4, 2), seed=1)
-    n, m, k_q = cfg.n_rollouts, cfg.candidates, cfg.value_samples
-    assert calls == [n * m] * cfg.horizon + [n * k_q]
+    monkeypatch.setattr(planner, "_rollout_batch", rollout)
+    monkeypatch.setattr(planner, "prune_indices", prune)
+    state = np.array([0.3, -0.2, 0.1], np.float32)
+    for case, (overrides, constraints) in PRUNING_CASES.items():
+        cfg = PlannerConfig(sigma_scale=0.6, **overrides)
+        n, m, k_q = cfg.n_rollouts, cfg.candidates, cfg.value_samples
+        calls.clear()
+        seen["keep"] = np.arange(n)
+        planner.plan_step(state, bundle, cfg, constraints, planner.initial_plan(4, 2), seed=1)
+        tail_rows = int(seen["alive"][seen["keep"]].sum())
+        assert len(calls) == cfg.horizon + 1 and calls[0] == n * m, case
+        if constraints is NO_C:  # no rollout ends early: every horizon step scores all N rows
+            assert calls[: cfg.horizon] == [n * m] * cfg.horizon, case
+        assert calls[-1] == k_q * tail_rows, case
+        if cfg.use_pruning:
+            assert tail_rows < n, case
+        else:
+            assert calls[-1] == n * k_q, case
 
 
 def test_plan_step_deterministic():
