@@ -119,9 +119,6 @@ class AdmModel:
     def normalize_x(self, x: np.ndarray) -> np.ndarray:
         return (x - self.stats.x_mean) / self.stats.x_std
 
-    def normalize_o(self, o: np.ndarray) -> np.ndarray:
-        return (o - self.stats.o_mean) / self.stats.o_std
-
     def denormalize_o(self, o_n: np.ndarray) -> np.ndarray:
         return o_n * self.stats.o_std + self.stats.o_mean
 
@@ -349,11 +346,18 @@ def save_ensemble(ensemble: AdmEnsemble, directory) -> None:
     }
     for j, member in enumerate(ensemble.members):
         entries[f"ordering_{j}"] = ",".join(str(d) for d in member.ordering)
-    write_manifest(os.path.join(directory, "manifest.txt"), entries)
-    for j, member in enumerate(ensemble.members):
-        nn.save_net(member.embed_net, os.path.join(directory, f"member_{j:03d}_embed.nn"))
-        for i, head in enumerate(member.heads):
-            nn.save_net(head, os.path.join(directory, f"member_{j:03d}_head_{i:02d}.nn"))
+    manifest, *net_paths = ensemble_files(directory, ensemble.k, ensemble.output_dim)
+    write_manifest(manifest, entries)
+    nets = [net for member in ensemble.members for net in (member.embed_net, *member.heads)]
+    for net, net_path in zip(nets, net_paths):
+        nn.save_net(net, net_path)
+
+
+def ensemble_files(directory, k: int, output_dim: int) -> list:
+    """Paths of a saved ensemble's files: ``manifest.txt``, then per member its embedding and heads."""
+    names = ["embed", *(f"head_{i:02d}" for i in range(output_dim))]
+    nets = [f"member_{j:03d}_{name}.nn" for j in range(k) for name in names]
+    return [os.path.join(directory, name) for name in ("manifest.txt", *nets)]
 
 
 def load_ensemble(directory) -> AdmEnsemble:
@@ -377,13 +381,13 @@ def load_ensemble(directory) -> AdmEnsemble:
     sigma_min, sigma_max = entries.parse("sigma_min", float), entries.parse("sigma_max", float)
     # the nets are built from their files, and must have the sizes the manifest describes
     sizes = _net_layer_sizes(input_dim, output_dim, embed_width, head_hidden)
-    names = [("embed", "input_dim, embed_width")]
-    names += [(f"head_{i:02d}", "embed_width, head_hidden") for i in range(output_dim)]
+    size_keys = ["input_dim, embed_width", *["embed_width, head_hidden"] * output_dim]
+    _, *net_paths = ensemble_files(directory, k, output_dim)
     members = []
     for j in range(k):
         nets = []
-        for want, (name, keys) in zip(sizes, names):
-            net_path = os.path.join(directory, f"member_{j:03d}_{name}.nn")
+        member_paths = net_paths[j * len(sizes) : (j + 1) * len(sizes)]
+        for want, keys, net_path in zip(sizes, size_keys, member_paths):
             got = nn.load_net(net_path)
             if got.layer_sizes != want or got.activation != activation:
                 raise FormatError(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import math
 import os
 import sys
 import time
@@ -11,8 +13,25 @@ import time
 import numpy as np
 
 from . import adm, data, envs, planner, value
-from .config import RunConfig, default_config_text, load_config
+from .config import (
+    RunConfig,
+    adm_config,
+    default_config_text,
+    fqe_config,
+    load_config,
+    planner_config,
+)
 from .errors import ConfigError, FormatError, MoppError
+from .manifest import read_manifest
+
+# The `l = auto` rule: this percentile of the dynamics ensemble's discrepancy
+# over at most this many dataset rows, floored because degenerate ensembles
+# can agree exactly. The rule is part of the calibration key, so changing it
+# invalidates every stored threshold.
+AUTO_PERCENTILE = 85.0
+AUTO_MAX_SAMPLES = 4096
+AUTO_FLOOR = 1e-12
+CALIBRATION_FILE = "calibration.txt"
 
 
 def _info(args, message: str) -> None:
@@ -44,18 +63,6 @@ def _require(path: str, hint: str) -> None:
         raise ConfigError(f"missing artifact {path}; {hint}")
 
 
-def _adm_config(cfg: RunConfig, members: int) -> adm.AdmConfig:
-    return adm.AdmConfig(
-        members=members,
-        steps=cfg.adm_steps,
-        batch_size=cfg.adm_batch,
-        learning_rate=cfg.adm_lr,
-        embed_width=cfg.adm_embed,
-        head_hidden=cfg.adm_head_hidden,
-        activation=cfg.adm_activation,
-    )
-
-
 def _reward_transform(cfg: RunConfig):
     """Planning/FQE reward reshaping selected by the constraint mode."""
     cap = cfg.v_cap if cfg.v_cap is not None else envs.DEFAULT_V_CAP
@@ -75,23 +82,6 @@ def _constraints(cfg: RunConfig) -> planner.ConstraintConfig:
         penalty = envs.velocity_rollout_penalty(v_cap=cap, weight=cfg.constraint_weight)
     return planner.ConstraintConfig(
         reward_transform=_reward_transform(cfg), rollout_penalty=penalty
-    )
-
-
-def _planner_config(cfg: RunConfig, threshold: float) -> planner.PlannerConfig:
-    return planner.PlannerConfig(
-        horizon=cfg.horizon,
-        kappa=cfg.kappa,
-        beta=cfg.beta,
-        uncertainty_threshold=threshold,
-        sigma_scale=cfg.sigma_m,
-        n_rollouts=cfg.n_rollouts,
-        n_min=cfg.n_min,
-        candidates=cfg.candidates,
-        value_samples=cfg.k_q,
-        use_max_q=cfg.use_max_q,
-        use_pruning=cfg.use_pruning,
-        use_value=cfg.use_value,
     )
 
 
@@ -115,11 +105,73 @@ def _load_bundle(cfg: RunConfig, out_dir: str):
     return planner.ModelBundle(dynamics=dynamics, behavior=behavior, q=q)
 
 
-def _resolve_threshold(cfg: RunConfig, dynamics, dataset) -> float:
-    if cfg.threshold is not None:
-        return cfg.threshold
-    auto = planner.uncertainty_threshold_from_data(dynamics, dataset, percentile=85.0)
-    return max(auto, 1e-12)  # degenerate ensembles can agree exactly
+def _load_planner_inputs(cfg: RunConfig, out_dir: str, prunes: bool):
+    """The models and the pruning threshold; returns (bundle, threshold, note on the threshold).
+
+    ``prunes`` says whether a planner of the command prunes by the configured
+    threshold. If none does, the threshold is not computed and ``inf`` stands
+    in, and the dataset is not read.
+    """
+    dataset_path = _resolve(out_dir, cfg.dataset)
+    calibrate = prunes and cfg.threshold is None
+    if calibrate:
+        _require(dataset_path, "run `mopp gen-data` first")
+    bundle = _load_bundle(cfg, out_dir)
+    if not prunes:
+        return bundle, math.inf, "no planner prunes by the uncertainty threshold"
+    if not calibrate:
+        return bundle, cfg.threshold, f"uncertainty threshold {cfg.threshold:.6g} from the config"
+    dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
+    threshold, how = _calibrated_threshold(out_dir, dataset_path, dyn_dir, bundle.dynamics)
+    return bundle, threshold, f"uncertainty threshold {threshold:.6g} {how}"
+
+
+def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamics):
+    """The `l = auto` threshold, computed once per dataset and dynamics checkpoint.
+
+    ``<out>/calibration.txt`` stores it with a key over the dataset's bytes,
+    the checkpoint's manifest and net files, and the rule. A missing,
+    unreadable, malformed or stale file is recomputed and rewritten: it holds
+    derived data only. Returns (threshold, how it was obtained).
+    """
+    path = os.path.join(out_dir, CALIBRATION_FILE)
+    key = _calibration_key(dataset_path, adm.ensemble_files(dyn_dir, dynamics.k, dynamics.output_dim))
+    stored = _stored_threshold(path, key)
+    if stored is not None:
+        return stored, f"read from {path}"
+    auto = planner.uncertainty_threshold_from_data(
+        dynamics, data.load_dataset(dataset_path), AUTO_PERCENTILE, AUTO_MAX_SAMPLES
+    )
+    threshold = max(auto, AUTO_FLOOR)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(path, f"threshold = {threshold!r}\nkey = {key}\n")
+    return threshold, f"computed on the dataset, saved to {path}"
+
+
+def _calibration_key(dataset_path: str, checkpoint_files) -> str:
+    """SHA-256 over the rule and the dataset and checkpoint files, each framed by name and size."""
+    h = hashlib.sha256(repr((AUTO_PERCENTILE, AUTO_MAX_SAMPLES, AUTO_FLOOR)).encode())
+    for path in (dataset_path, *checkpoint_files):
+        with open(path, "rb") as f:
+            blob = f.read()
+        h.update(f"\n{os.path.basename(path)} {len(blob)}\n".encode())
+        h.update(blob)
+    return h.hexdigest()
+
+
+def _stored_threshold(path: str, key: str):
+    """The threshold stored at ``path`` under ``key``, or None if there is no usable one.
+
+    The key is written after the threshold, so a truncated file lacks the whole key.
+    """
+    try:
+        entries = read_manifest(path)
+        if entries["key"] != key:
+            return None
+        threshold = entries.parse("threshold", float)
+    except (OSError, ValueError, MoppError):
+        return None
+    return threshold if threshold > 0 else None
 
 
 def cmd_gen_data(args) -> int:
@@ -148,7 +200,7 @@ def cmd_train_dynamics(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
     t0 = time.perf_counter()
-    ensemble = adm.adm_train(dataset, "dynamics", _adm_config(cfg, cfg.k1), seed=cfg.dynamics_seed)
+    ensemble = adm.adm_train(dataset, "dynamics", adm_config(cfg, cfg.k1), seed=cfg.dynamics_seed)
     out = _resolve(args.out, cfg.dynamics_dir)
     adm.save_ensemble(ensemble, out)
     _info(args, f"trained {cfg.k1} dynamics members in {time.perf_counter() - t0:.0f}s -> {out}")
@@ -159,7 +211,7 @@ def cmd_train_behavior(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
     t0 = time.perf_counter()
-    ensemble = adm.adm_train(dataset, "behavior", _adm_config(cfg, cfg.k2), seed=cfg.behavior_seed)
+    ensemble = adm.adm_train(dataset, "behavior", adm_config(cfg, cfg.k2), seed=cfg.behavior_seed)
     out = _resolve(args.out, cfg.behavior_dir)
     adm.save_ensemble(ensemble, out)
     _info(args, f"trained {cfg.k2} behavior members in {time.perf_counter() - t0:.0f}s -> {out}")
@@ -169,17 +221,8 @@ def cmd_train_behavior(args) -> int:
 def cmd_train_q(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
-    fqe_cfg = value.FqeConfig(
-        gamma=cfg.fqe_gamma,
-        iterations=cfg.fqe_iterations,
-        steps_per_iteration=cfg.fqe_steps,
-        batch_size=cfg.fqe_batch,
-        learning_rate=cfg.fqe_lr,
-        hidden=cfg.fqe_hidden,
-        reward_transform=_reward_transform(cfg),
-    )
     t0 = time.perf_counter()
-    q = value.fqe_train(dataset, fqe_cfg, seed=cfg.fqe_seed)
+    q = value.fqe_train(dataset, fqe_config(cfg, _reward_transform(cfg)), seed=cfg.fqe_seed)
     out = _resolve(args.out, cfg.q_dir)
     value.save_q(q, out)
     tag = f" (reward transform: {cfg.constraint})" if cfg.constraint != "none" else ""
@@ -188,7 +231,7 @@ def cmd_train_q(args) -> int:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write a CSV crash-safe: ``path`` holds the old file or the whole new one."""
+    """Write a text file crash-safe: ``path`` holds the old file or the whole new one."""
     with data.atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 
@@ -205,12 +248,10 @@ def _format_row(values) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    dataset = _load_dataset(cfg, args.out)
-    bundle = _load_bundle(cfg, args.out)
-    threshold = _resolve_threshold(cfg, bundle.dynamics, dataset)
-    pcfg = _planner_config(cfg, threshold)
+    bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes=cfg.use_pruning)
+    pcfg = planner_config(cfg, threshold)
     constraints = _constraints(cfg)
-    _info(args, f"evaluating with uncertainty threshold {threshold:.6g}")
+    _info(args, f"evaluating: {note}")
 
     rows = []
     failed = False
@@ -282,10 +323,14 @@ _VARIANT_TOGGLES = {
 
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
-    dataset = _load_dataset(cfg, args.out)
-    bundle = _load_bundle(cfg, args.out)
-    base = _planner_config(cfg, _resolve_threshold(cfg, bundle.dynamics, dataset))
+    # the l axis sets every cell's threshold; otherwise pruning cells read the configured one
+    prunes = cfg.ablate_axis != "l" and any(
+        _VARIANT_TOGGLES[v].get("use_pruning", cfg.use_pruning) for v in cfg.ablate_variants
+    )
+    bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes)
+    base = planner_config(cfg, threshold)
     constraints = _constraints(cfg)
+    _info(args, f"ablating {cfg.ablate_axis}: {note}")
 
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]
     failed = False

@@ -6,7 +6,10 @@ import configparser
 from dataclasses import dataclass
 from typing import Optional
 
+from .adm import AdmConfig
 from .errors import ConfigError
+from .planner import PlannerConfig
+from .value import FqeConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -222,8 +225,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("need at least one seed")
     if cfg.episodes < 1 or cfg.data_episodes < 1:
         raise ConfigError("episode counts must be positive")
-    if cfg.k1 < 1 or cfg.k2 < 1:
-        raise ConfigError("ensemble sizes must be positive")
+    _check_library_ranges(cfg)
     if cfg.use_pruning and cfg.k1 < 2:
         raise ConfigError(f"use_pruning needs k1 >= 2 dynamics members, got k1 = {cfg.k1}")
     if cfg.ablate_axis not in ("sigma_m", "h", "l"):
@@ -233,6 +235,87 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown ablation variants {bad}")
 
 
+def planner_config(cfg: RunConfig, threshold: float) -> PlannerConfig:
+    return PlannerConfig(
+        horizon=cfg.horizon,
+        kappa=cfg.kappa,
+        beta=cfg.beta,
+        uncertainty_threshold=threshold,
+        sigma_scale=cfg.sigma_m,
+        n_rollouts=cfg.n_rollouts,
+        n_min=cfg.n_min,
+        candidates=cfg.candidates,
+        value_samples=cfg.k_q,
+        use_max_q=cfg.use_max_q,
+        use_pruning=cfg.use_pruning,
+        use_value=cfg.use_value,
+    )
+
+
+def adm_config(cfg: RunConfig, members: int) -> AdmConfig:
+    return AdmConfig(
+        members=members,
+        steps=cfg.adm_steps,
+        batch_size=cfg.adm_batch,
+        learning_rate=cfg.adm_lr,
+        embed_width=cfg.adm_embed,
+        head_hidden=cfg.adm_head_hidden,
+        activation=cfg.adm_activation,
+    )
+
+
+def fqe_config(cfg: RunConfig, reward_transform=None) -> FqeConfig:
+    return FqeConfig(
+        gamma=cfg.fqe_gamma,
+        iterations=cfg.fqe_iterations,
+        steps_per_iteration=cfg.fqe_steps,
+        batch_size=cfg.fqe_batch,
+        learning_rate=cfg.fqe_lr,
+        hidden=cfg.fqe_hidden,
+        reward_transform=reward_transform,
+    )
+
+
+# The library config built from each section, whose own checks bound its keys.
+# `l = auto` is resolved at evaluation time; any positive value stands in.
+_LIBRARY_CONFIGS = {
+    "adm": lambda cfg: (adm_config(cfg, cfg.k1), adm_config(cfg, cfg.k2)),
+    "fqe": fqe_config,
+    "planner": lambda cfg: planner_config(cfg, 1.0 if cfg.threshold is None else cfg.threshold),
+}
+
+
+def _check_library_ranges(cfg: RunConfig) -> None:
+    """Build each section's library config; a value it rejects names its ``[section] key``.
+
+    The section's keys are set one at a time, in schema order, over the
+    defaults, and the config is built after each, so the key named is the
+    first one the library rejects. Of a pair checked together (``n`` and
+    ``n_min``) that is the later key, as the earlier one is valid with the
+    other's default.
+    """
+    for section, build in _LIBRARY_CONFIGS.items():
+        trial = RunConfig()
+        for key, (attr, _) in _SCHEMA[section].items():
+            setattr(trial, attr, getattr(cfg, attr))
+            try:
+                build(trial)
+            except ConfigError as err:
+                raise ConfigError(f"[{section}] {key} = {_format_value(cfg, attr)}: {err}") from None
+
+
+def _format_value(cfg: RunConfig, attr: str) -> str:
+    """The config-file text of ``cfg.attr``."""
+    value = getattr(cfg, attr)
+    if value is None:
+        return "auto" if attr in ("threshold", "n_min") else ""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def default_config_text() -> str:
     """A complete config file with every key at its default value."""
     cfg = RunConfig()
@@ -240,13 +323,6 @@ def default_config_text() -> str:
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         for key, (attr, _) in keys.items():
-            value = getattr(cfg, attr)
-            if value is None:
-                value = "auto" if attr in ("threshold", "n_min") else ""
-            elif isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {_format_value(cfg, attr)}")
         lines.append("")
     return "\n".join(lines)

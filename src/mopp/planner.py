@@ -403,7 +403,10 @@ def uncertainty_threshold_from_data(
 ) -> float:
     """Percentile of the ensemble discrepancy over dataset state-action pairs.
 
-    This is the data-driven rule for picking the pruning threshold.
+    This is the data-driven rule for picking the pruning threshold. Its
+    inputs change only with the dataset and the dynamics checkpoint, so
+    ``mopp evaluate`` and ``mopp ablate`` store the result in
+    ``<out>/calibration.txt`` under a key over those files and reuse it.
     """
     n = len(dataset)
     if n == 0:

@@ -1,11 +1,12 @@
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 import mopp
-from mopp import adm, cli, data, value
+from mopp import adm, cli, data, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
 from mopp.errors import ConfigError, FormatError
 
@@ -343,6 +344,30 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("h = 2", "h = 0", "[planner] h = 0"),
+        ("l = auto", "l = auto\nkappa = -1", "[planner] kappa = -1.0"),
+        ("l = auto", "l = -0.5", "[planner] l = -0.5"),
+        ("n = 8", "n = 8\nn_min = 9", "[planner] n_min = 9"),
+        ("steps = 150", "steps = 0", "[adm] steps = 0"),
+        ("k2 = 2", "k2 = 0", "[adm] k2 = 0"),
+        ("gamma = 0.9", "gamma = 1.0", "[fqe] gamma = 1.0"),
+    ],
+)
+def test_library_range_violation_fails_every_command_before_work(tmp_path, capsys, old, new, key):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(cfg_path)
+    for command in ("gen-data", "train-dynamics", "train-behavior", "train-q", "evaluate", "ablate"):
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 @pytest.mark.parametrize("v_cap, mode, key", [("0.5", "none", "v_cap"), ("", "velocity_rollout", "mode")])
 def test_velocity_constraint_on_uncapped_env_is_config_error(tmp_path, capsys, v_cap, mode, key):
     cfg_path = tmp_path / "c.cfg"
@@ -382,3 +407,129 @@ def test_star_import_exports_every_listed_name_once():
     exec("from mopp import *", namespace)
     missing = [name for name in mopp.__all__ if name not in namespace]
     assert not missing
+
+
+@pytest.fixture
+def cold_run(pipeline_dir, tmp_path):
+    """A copy of the pipeline's artefacts with no calibration.txt and no CSVs, and CLI args for it."""
+    out, _ = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run, ignore=shutil.ignore_patterns(cli.CALIBRATION_FILE, "*.csv"))
+    return run, ["--config", str(run / "run.cfg"), "--out", str(run)]
+
+
+def count_calibrations(monkeypatch) -> list:
+    """Record each call of the `l = auto` rule; returns the list the calls are appended to."""
+    calls = []
+    real = planner.uncertainty_threshold_from_data
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "uncertainty_threshold_from_data", counted)
+    return calls
+
+
+CSV_NAMES = ("results.csv", "diagnostics.csv", "ablation.csv")
+
+
+def test_calibration_is_computed_once_and_reused(cold_run, monkeypatch, capsys):
+    run, base = cold_run
+    calls = count_calibrations(monkeypatch)
+    path = run / cli.CALIBRATION_FILE
+    assert cli.main(["evaluate", *base]) == 0
+    assert len(calls) == 1 and "computed on the dataset" in capsys.readouterr().out
+    path.unlink()  # so ablate runs cold too
+    assert cli.main(["ablate", *base]) == 0
+    assert len(calls) == 2
+    cold = [(run / name).read_bytes() for name in CSV_NAMES]
+    entries = dict(line.split(" = ") for line in path.read_text().splitlines())
+    dynamics, dataset = adm.load_ensemble(run / "dynamics"), data.load_dataset(run / "data.ds")
+    assert float(entries["threshold"]) == max(planner.uncertainty_threshold_from_data(dynamics, dataset), 1e-12)
+    calls.clear()
+    assert cli.main(["evaluate", *base]) == 0
+    assert cli.main(["ablate", *base]) == 0
+    assert calls == []
+    out = capsys.readouterr().out
+    assert out.count(f"read from {path}") == 2
+    assert [(run / name).read_bytes() for name in CSV_NAMES] == cold
+
+
+@pytest.mark.parametrize("change", ["train-dynamics", "gen-data", "edit the last head net"])
+def test_calibration_is_recomputed_when_an_input_changes(cold_run, monkeypatch, change):
+    run, base = cold_run
+    base.append("--quiet")
+    assert cli.main(["evaluate", *base]) == 0
+    stored = (run / cli.CALIBRATION_FILE).read_text()
+    if change.startswith("edit"):  # the manifest stays as it is
+        path = run / "dynamics" / "member_001_head_04.nn"
+        net = nn.load_net(path)
+        net.weights[-1][0, 0] += 1.0
+        nn.save_net(net, path)
+    else:
+        assert cli.main([change, *base, "--seed", "11"]) == 0
+    calls = count_calibrations(monkeypatch)
+    assert cli.main(["evaluate", *base]) == 0
+    assert cli.main(["ablate", *base]) == 0
+    assert len(calls) == 1
+    assert (run / cli.CALIBRATION_FILE).read_text() != stored
+
+
+@pytest.mark.parametrize("edit", ["truncate in threshold", "truncate in key", "threshold = abc", "no key", "binary"])
+def test_unusable_calibration_file_is_recomputed(cold_run, monkeypatch, capsys, edit):
+    run, base = cold_run
+    base.append("--quiet")
+    assert cli.main(["evaluate", *base]) == 0
+    results = (run / "results.csv").read_bytes()
+    path = run / cli.CALIBRATION_FILE
+    text = path.read_text()
+    threshold_line, key_line = text.splitlines()
+    edited = {
+        "truncate in threshold": text[: len("threshold = 0.")],
+        "truncate in key": text[: len(text) - 10],
+        "threshold = abc": f"threshold = abc\n{key_line}\n",
+        "no key": f"{threshold_line}\n",
+    }
+    if edit == "binary":
+        path.write_bytes(b"\xff\xfe\x00threshold")
+    else:
+        path.write_text(edited[edit])
+    calls = count_calibrations(monkeypatch)
+    assert cli.main(["evaluate", *base]) == 0
+    assert len(calls) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert path.read_text() == text
+    assert (run / "results.csv").read_bytes() == results
+
+
+def test_numeric_threshold_never_touches_the_calibration_file(cold_run, monkeypatch):
+    run, base = cold_run
+    base.append("--quiet")
+    (run / "run.cfg").write_text(TINY_CONFIG.replace("l = auto", "l = 0.5"))
+    calls = count_calibrations(monkeypatch)
+    read = []
+    monkeypatch.setattr(cli, "read_manifest", lambda path: read.append(path))
+    assert cli.main(["evaluate", *base]) == 0
+    assert cli.main(["ablate", *base]) == 0
+    assert calls == [] and read == []
+    assert not (run / cli.CALIBRATION_FILE).exists()
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("evaluate", "l = auto", "l = auto\nuse_pruning = false"),
+        ("ablate", "axis = sigma_m", "axis = l"),
+        ("ablate", "variants = full,noP", "variants = noP"),
+    ],
+)
+def test_no_calibration_when_no_planner_reads_the_threshold(cold_run, monkeypatch, capsys, command, old, new):
+    run, base = cold_run
+    (run / "run.cfg").write_text(TINY_CONFIG.replace(old, new))
+    (run / "data.ds").unlink()  # not needed, so not read
+    calls = count_calibrations(monkeypatch)
+    assert cli.main([command, *base]) == 0
+    assert calls == []
+    assert not (run / cli.CALIBRATION_FILE).exists()
+    assert "no planner prunes by the uncertainty threshold" in capsys.readouterr().out
