@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import hashlib
 import math
 import os
@@ -14,7 +15,9 @@ import numpy as np
 
 from . import adm, data, envs, planner, value
 from .config import (
+    ABLATE_VARIANTS,
     RunConfig,
+    ablate_axis_field,
     adm_config,
     default_config_text,
     fqe_config,
@@ -24,14 +27,11 @@ from .config import (
 from .errors import ConfigError, FormatError, MoppError
 from .manifest import read_manifest
 
-# The `l = auto` rule: this percentile of the dynamics ensemble's discrepancy
-# over at most this many dataset rows, floored because degenerate ensembles
-# can agree exactly. The rule is part of the calibration key, so changing it
-# invalidates every stored threshold.
-AUTO_PERCENTILE = 85.0
-AUTO_MAX_SAMPLES = 4096
-AUTO_FLOOR = 1e-12
 CALIBRATION_FILE = "calibration.txt"
+# The calibration key covers every module of the package, so an edit to the
+# `l = auto` rule (planner.uncertainty_threshold_from_data and its constants)
+# or to anything it calls recomputes the stored threshold once.
+CALIBRATION_CODE = tuple(sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.py"))))
 
 
 def _info(args, message: str) -> None:
@@ -127,10 +127,10 @@ def _load_planner_inputs(cfg: RunConfig, out_dir: str, prunes: bool):
 
 
 def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamics):
-    """The `l = auto` threshold, computed once per dataset and dynamics checkpoint.
+    """The `l = auto` threshold, computed once per dataset, dynamics checkpoint and code.
 
     ``<out>/calibration.txt`` stores it with a key over the dataset's bytes,
-    the checkpoint's manifest and net files, and the rule. A missing,
+    the checkpoint's manifest and net files, and the code. A missing,
     unreadable, malformed or stale file is recomputed and rewritten: it holds
     derived data only. Returns (threshold, how it was obtained).
     """
@@ -139,19 +139,16 @@ def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamic
     stored = _stored_threshold(path, key)
     if stored is not None:
         return stored, f"read from {path}"
-    auto = planner.uncertainty_threshold_from_data(
-        dynamics, data.load_dataset(dataset_path), AUTO_PERCENTILE, AUTO_MAX_SAMPLES
-    )
-    threshold = max(auto, AUTO_FLOOR)
+    threshold = planner.uncertainty_threshold_from_data(dynamics, data.load_dataset(dataset_path))
     os.makedirs(out_dir, exist_ok=True)
     _write_text(path, f"threshold = {threshold!r}\nkey = {key}\n")
     return threshold, f"computed on the dataset, saved to {path}"
 
 
 def _calibration_key(dataset_path: str, checkpoint_files) -> str:
-    """SHA-256 over the rule and the dataset and checkpoint files, each framed by name and size."""
-    h = hashlib.sha256(repr((AUTO_PERCENTILE, AUTO_MAX_SAMPLES, AUTO_FLOOR)).encode())
-    for path in (dataset_path, *checkpoint_files):
+    """SHA-256 over numpy's version and the code, dataset and checkpoint files, each framed by name and size."""
+    h = hashlib.sha256(np.__version__.encode())
+    for path in (*CALIBRATION_CODE, dataset_path, *checkpoint_files):
         with open(path, "rb") as f:
             blob = f.read()
         h.update(f"\n{os.path.basename(path)} {len(blob)}\n".encode())
@@ -313,19 +310,11 @@ def cmd_evaluate(args) -> int:
     return 1 if failed else 0
 
 
-_VARIANT_TOGGLES = {
-    "full": {},
-    "noMQ": {"use_max_q": False},
-    "noP": {"use_pruning": False},
-    "noV": {"use_value": False},
-}
-
-
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
     # the l axis sets every cell's threshold; otherwise pruning cells read the configured one
     prunes = cfg.ablate_axis != "l" and any(
-        _VARIANT_TOGGLES[v].get("use_pruning", cfg.use_pruning) for v in cfg.ablate_variants
+        ABLATE_VARIANTS[v].get("use_pruning", cfg.use_pruning) for v in cfg.ablate_variants
     )
     bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes)
     base = planner_config(cfg, threshold)
@@ -336,13 +325,8 @@ def cmd_ablate(args) -> int:
     failed = False
     for axis_value in cfg.ablate_values:
         for variant in cfg.ablate_variants:
-            if cfg.ablate_axis == "sigma_m":
-                axis = {"sigma_scale": axis_value}
-            elif cfg.ablate_axis == "h":
-                axis = {"horizon": int(axis_value)}
-            else:
-                axis = {"uncertainty_threshold": axis_value}
-            pcfg = dataclasses.replace(base, **axis, **_VARIANT_TOGGLES[variant])
+            axis = ablate_axis_field(cfg, axis_value)
+            pcfg = dataclasses.replace(base, **axis, **ABLATE_VARIANTS[variant])
             rets, viols = [], []
             try:
                 for seed in cfg.seeds:

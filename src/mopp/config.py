@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -225,14 +226,35 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("need at least one seed")
     if cfg.episodes < 1 or cfg.data_episodes < 1:
         raise ConfigError("episode counts must be positive")
+    if cfg.ablate_axis not in ABLATE_AXES:
+        raise ConfigError(f"unknown ablation axis {cfg.ablate_axis!r}")
+    bad = [v for v in cfg.ablate_variants if v not in ABLATE_VARIANTS]
+    if bad:
+        raise ConfigError(f"unknown ablation variants {bad}")
     _check_library_ranges(cfg)
     if cfg.use_pruning and cfg.k1 < 2:
         raise ConfigError(f"use_pruning needs k1 >= 2 dynamics members, got k1 = {cfg.k1}")
-    if cfg.ablate_axis not in ("sigma_m", "h", "l"):
-        raise ConfigError(f"unknown ablation axis {cfg.ablate_axis!r}")
-    bad = [v for v in cfg.ablate_variants if v not in ("full", "noMQ", "noP", "noV")]
-    if bad:
-        raise ConfigError(f"unknown ablation variants {bad}")
+
+
+# [ablate] axis -> the PlannerConfig field its values set and their type
+ABLATE_AXES = {
+    "sigma_m": ("sigma_scale", float),
+    "h": ("horizon", int),
+    "l": ("uncertainty_threshold", float),
+}
+# [ablate] variant -> the PlannerConfig toggles it turns off
+ABLATE_VARIANTS = {
+    "full": {},
+    "noMQ": {"use_max_q": False},
+    "noP": {"use_pruning": False},
+    "noV": {"use_value": False},
+}
+
+
+def ablate_axis_field(cfg: RunConfig, axis_value: float) -> dict:
+    """The PlannerConfig field, as a replace() keyword, that one [ablate] value sets."""
+    field, kind = ABLATE_AXES[cfg.ablate_axis]
+    return {field: kind(axis_value)}
 
 
 def planner_config(cfg: RunConfig, threshold: float) -> PlannerConfig:
@@ -276,12 +298,16 @@ def fqe_config(cfg: RunConfig, reward_transform=None) -> FqeConfig:
     )
 
 
+def _planner_config_for_checks(cfg: RunConfig) -> PlannerConfig:
+    """`l = auto` is resolved at evaluation time; any positive value stands in."""
+    return planner_config(cfg, 1.0 if cfg.threshold is None else cfg.threshold)
+
+
 # The library config built from each section, whose own checks bound its keys.
-# `l = auto` is resolved at evaluation time; any positive value stands in.
 _LIBRARY_CONFIGS = {
     "adm": lambda cfg: (adm_config(cfg, cfg.k1), adm_config(cfg, cfg.k2)),
     "fqe": fqe_config,
-    "planner": lambda cfg: planner_config(cfg, 1.0 if cfg.threshold is None else cfg.threshold),
+    "planner": _planner_config_for_checks,
 }
 
 
@@ -292,7 +318,8 @@ def _check_library_ranges(cfg: RunConfig) -> None:
     defaults, and the config is built after each, so the key named is the
     first one the library rejects. Of a pair checked together (``n`` and
     ``n_min``) that is the later key, as the earlier one is valid with the
-    other's default.
+    other's default. Each ``[ablate] values`` entry is then set on the
+    whole ``[planner]`` config, as ``mopp ablate`` sets it.
     """
     for section, build in _LIBRARY_CONFIGS.items():
         trial = RunConfig()
@@ -302,6 +329,15 @@ def _check_library_ranges(cfg: RunConfig) -> None:
                 build(trial)
             except ConfigError as err:
                 raise ConfigError(f"[{section}] {key} = {_format_value(cfg, attr)}: {err}") from None
+    base = _planner_config_for_checks(cfg)
+    for value in cfg.ablate_values:
+        try:
+            dataclasses.replace(base, **ablate_axis_field(cfg, value))
+        except (ConfigError, ValueError, OverflowError) as err:  # int() of nan / inf for h
+            raise ConfigError(
+                f"[ablate] values = {_format_value(cfg, 'ablate_values')}: "
+                f"{cfg.ablate_axis} = {value}: {err}"
+            ) from None
 
 
 def _format_value(cfg: RunConfig, attr: str) -> str:

@@ -398,15 +398,27 @@ def run_episode(
     )
 
 
+# The `l = auto` rule: this percentile of the dynamics ensemble's discrepancy
+# over at most this many dataset rows, floored because degenerate ensembles
+# can agree exactly.
+AUTO_PERCENTILE = 85.0
+AUTO_MAX_SAMPLES = 4096
+AUTO_FLOOR = 1e-12
+
+
 def uncertainty_threshold_from_data(
-    dynamics: AdmEnsemble, dataset: Dataset, percentile: float = 85.0, max_samples: int = 4096
+    dynamics: AdmEnsemble,
+    dataset: Dataset,
+    percentile: float = AUTO_PERCENTILE,
+    max_samples: int = AUTO_MAX_SAMPLES,
 ) -> float:
-    """Percentile of the ensemble discrepancy over dataset state-action pairs.
+    """Percentile of the ensemble discrepancy over dataset state-action pairs, at least AUTO_FLOOR.
 
     This is the data-driven rule for picking the pruning threshold. Its
     inputs change only with the dataset and the dynamics checkpoint, so
     ``mopp evaluate`` and ``mopp ablate`` store the result in
-    ``<out>/calibration.txt`` under a key over those files and reuse it.
+    ``<out>/calibration.txt`` under a key over those files and the mopp
+    package's code, and reuse it.
     """
     n = len(dataset)
     if n == 0:
@@ -414,7 +426,7 @@ def uncertainty_threshold_from_data(
     idx = np.arange(n) if n <= max_samples else np.linspace(0, n - 1, max_samples).astype(int)
     preds = adm.dynamics_mode_all(dynamics, dataset.states[idx], dataset.actions[idx])
     d = adm.disc_from_predictions(preds)
-    return float(np.percentile(d, percentile))
+    return max(float(np.percentile(d, percentile)), AUTO_FLOOR)
 
 
 def diagnostics_csv(result: EpisodeResult) -> str:

@@ -354,6 +354,10 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
         ("steps = 150", "steps = 0", "[adm] steps = 0"),
         ("k2 = 2", "k2 = 0", "[adm] k2 = 0"),
         ("gamma = 0.9", "gamma = 1.0", "[fqe] gamma = 1.0"),
+        ("values = 0.1,0.5", "values = 0.1,0", "[ablate] values = 0.1,0.0: sigma_m = 0.0"),
+        ("axis = sigma_m\nvalues = 0.1,0.5", "axis = h\nvalues = 2,0", "[ablate] values = 2.0,0.0: h = 0.0"),
+        ("axis = sigma_m\nvalues = 0.1,0.5", "axis = l\nvalues = -0.5", "[ablate] values = -0.5: l = -0.5"),
+        ("axis = sigma_m\nvalues = 0.1,0.5", "axis = h\nvalues = inf", "[ablate] values = inf: h = inf"),
     ],
 )
 def test_library_range_violation_fails_every_command_before_work(tmp_path, capsys, old, new, key):
@@ -383,6 +387,7 @@ def test_velocity_constraint_on_uncapped_env_is_config_error(tmp_path, capsys, v
 
 def test_failed_csv_write_keeps_existing_results_and_leaves_no_temp_file(pipeline_dir, monkeypatch):
     out, base = pipeline_dir
+    assert cli.main(["evaluate", *base]) == 0  # so every file a good run writes is listed below
     results = out / "results.csv"
     results.write_text("old\n")
     names = sorted(p.name for p in out.iterdir())
@@ -446,7 +451,7 @@ def test_calibration_is_computed_once_and_reused(cold_run, monkeypatch, capsys):
     cold = [(run / name).read_bytes() for name in CSV_NAMES]
     entries = dict(line.split(" = ") for line in path.read_text().splitlines())
     dynamics, dataset = adm.load_ensemble(run / "dynamics"), data.load_dataset(run / "data.ds")
-    assert float(entries["threshold"]) == max(planner.uncertainty_threshold_from_data(dynamics, dataset), 1e-12)
+    assert float(entries["threshold"]) == planner.uncertainty_threshold_from_data(dynamics, dataset)
     calls.clear()
     assert cli.main(["evaluate", *base]) == 0
     assert cli.main(["ablate", *base]) == 0
@@ -456,17 +461,29 @@ def test_calibration_is_computed_once_and_reused(cold_run, monkeypatch, capsys):
     assert [(run / name).read_bytes() for name in CSV_NAMES] == cold
 
 
-@pytest.mark.parametrize("change", ["train-dynamics", "gen-data", "edit the last head net"])
+def test_calibration_key_covers_the_code_the_rule_runs():
+    names = {os.path.basename(path) for path in cli.CALIBRATION_CODE}
+    assert {"planner.py", "adm.py", "nn.py", "data.py", "cli.py"} <= names
+
+
+@pytest.mark.parametrize("change", ["train-dynamics", "gen-data", "edit the last head net", "edit the code"])
 def test_calibration_is_recomputed_when_an_input_changes(cold_run, monkeypatch, change):
     run, base = cold_run
     base.append("--quiet")
     assert cli.main(["evaluate", *base]) == 0
     stored = (run / cli.CALIBRATION_FILE).read_text()
-    if change.startswith("edit"):  # the manifest stays as it is
+    if change == "edit the last head net":  # the manifest stays as it is
         path = run / "dynamics" / "member_001_head_04.nn"
         net = nn.load_net(path)
         net.weights[-1][0, 0] += 1.0
         nn.save_net(net, path)
+    elif change == "edit the code":  # as if the rule's module had changed
+        code = list(cli.CALIBRATION_CODE)
+        i = [os.path.basename(path) for path in code].index("planner.py")
+        edited = run.parent / "planner.py"
+        edited.write_text(open(code[i], encoding="utf-8").read() + "# edited\n", encoding="utf-8")
+        code[i] = str(edited)
+        monkeypatch.setattr(cli, "CALIBRATION_CODE", tuple(code))
     else:
         assert cli.main([change, *base, "--seed", "11"]) == 0
     calls = count_calibrations(monkeypatch)

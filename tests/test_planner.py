@@ -677,6 +677,18 @@ def test_uncertainty_threshold_percentiles_ordered():
     assert 0 <= lo <= hi
 
 
+def test_uncertainty_threshold_is_floored_when_members_agree():
+    rng = np.random.default_rng(0)
+    from mopp import data as data_mod
+
+    states = rng.normal(size=(50, 3)).astype(np.float32)
+    actions = rng.normal(size=(50, 2)).astype(np.float32)
+    ds = data_mod.Dataset(states, actions, np.zeros(50), states, np.zeros(50, bool), np.zeros(50))
+    member = random_model(5, 4, rng=0)
+    dyn = adm.AdmEnsemble(members=[member, member], role="dynamics", stats=member.stats)
+    assert planner.uncertainty_threshold_from_data(dyn, ds) == planner.AUTO_FLOOR
+
+
 def test_all_toggles_off_degrades_to_behavior_guided_mppi():
     # independent reference: sample one behavior action per step with scaled
     # std, roll the drawn dynamics member, average everything with MPPI
