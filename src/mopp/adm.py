@@ -62,6 +62,8 @@ class AdmConfig:
             raise ConfigError("ensemble needs at least one member")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch size must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
 def _net_layer_sizes(input_dim: int, output_dim: int, embed_width: int, head_hidden) -> list:
@@ -237,17 +239,19 @@ def _model_loss_and_grads(model: AdmModel, x_n: np.ndarray, o_n: np.ndarray):
     """Teacher-forced batch NLL (true prefixes fed to every head) and grads."""
     emb_lin, emb_cache = nn.forward_cached(model.embed_net, x_n)
     emb = nn.activate(emb_lin, model.activation)
-    d_emb = np.zeros_like(emb)
-    loss = 0.0
-    head_grads = []
-    for i, head in enumerate(model.heads):
+
+    def head_pass(i):
         prefix = o_n[:, model.ordering[:i]]
         h_in = np.concatenate([emb, prefix], axis=1) if i else emb
-        y, cache = nn.forward_cached(head, h_in)
+        y, cache = nn.forward_cached(model.heads[i], h_in)
         target = o_n[:, model.ordering[i]][:, None]
         li, dy = nn.gaussian_loss_and_grad(y, target, model.sigma_min, model.sigma_max)
-        grads, dx = nn.backward(head, cache, dy)
-        d_emb += dx[:, : model.embed_width]
+        grads, dx = nn.backward(model.heads[i], cache, dy)
+        return li, grads, dx[:, : model.embed_width]
+
+    d_emb, loss, head_grads = np.zeros_like(emb), 0.0, []
+    for li, grads, dx_emb in nn._pool_map(head_pass, range(len(model.heads))):  # summed in head order
+        d_emb += dx_emb
         head_grads.extend(grads)
         loss += li
     d_emb_lin = d_emb * nn.activate_grad(emb_lin, model.activation)
@@ -308,7 +312,7 @@ def dynamics_mode_all(ensemble: AdmEnsemble, states: np.ndarray, actions: np.nda
         axis=1,
     )
     x_n = (x - ensemble.stats.x_mean) / ensemble.stats.x_std
-    return np.stack([m.mode_normalized(x_n) for m in ensemble.members])
+    return np.stack(nn._pool_map(lambda m: m.mode_normalized(x_n), ensemble.members))
 
 
 def disc_from_predictions(preds: np.ndarray) -> np.ndarray:

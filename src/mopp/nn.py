@@ -8,7 +8,10 @@ numerical checks (e.g. finite-difference gradient verification).
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -31,6 +34,56 @@ NORM_STD_FLOOR = 1e-6
 FORWARD_BLOCK_ROWS = 256
 
 NET_MAGIC = b"MOPPNN1\x00"
+
+
+def _worker_count() -> int:
+    """Usable CPUs over BLAS threads: the first positive integer of these variables, else every CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        text = os.environ.get(var, "").strip()
+        if text.isdigit() and int(text) > 0:
+            return max(1, cpus // int(text))
+    return 1
+
+
+_workers = _worker_count()  # the pool size; BLAS reads its variables when numpy loads, before this
+_pools = {}
+_pool_lock = threading.Lock()
+_in_task = threading.local()
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pools' threads
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _pool_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, shared between this thread and a pool when there are 2+ workers.
+
+    Each worker, this thread included, takes the next untaken item until none is left, so a
+    slow worker takes fewer. A map inside a task runs inline, and a task's exception reaches
+    the caller unchanged. Callers map independent tasks and combine the results in a fixed
+    order, so outputs do not depend on the pool.
+    """
+    if _workers < 2 or len(items) < 2 or getattr(_in_task, "flag", False):
+        return [fn(x) for x in items]
+    with _pool_lock:
+        if _workers not in _pools:
+            _pools[_workers] = ThreadPoolExecutor(_workers - 1, "mopp", lambda: setattr(_in_task, "flag", True))
+        pool = _pools[_workers]
+    todo, out = iter(range(len(items))), [None] * len(items)  # next() on a range iterator is atomic
+
+    def drain():
+        for i in todo:
+            out[i] = fn(items[i])
+
+    futures = [pool.submit(drain) for _ in range(min(_workers, len(items)) - 1)]
+    _in_task.flag = True
+    try:
+        drain()
+    finally:
+        _in_task.flag = False
+        wait(futures)
+    for f in futures:
+        f.result()
+    return out
 
 
 class DenseNet:
@@ -133,22 +186,26 @@ def forward(net: DenseNet, x) -> np.ndarray:
     """Evaluate the network on a vector or a batch of row vectors.
 
     Rows go through in blocks that start at multiples of FORWARD_BLOCK_ROWS
-    (a short tail joins the last block), reusing one activation buffer per
-    layer; bias and activation are applied in place.
+    (a short tail joins the last block), on the worker pool; each block has
+    its own activation buffer per layer, and bias and activation are
+    applied in place.
     """
     xb, single = _as_batch(net, x)
     n, last = xb.shape[0], net.n_layers - 1
     starts = range(0, max(n - FORWARD_BLOCK_ROWS // 2, 1), FORWARD_BLOCK_ROWS)
-    rows = min(n, 2 * FORWARD_BLOCK_ROWS)
-    bufs = [np.empty((rows, w.shape[1]), np.result_type(xb, w)) for w in net.weights[:-1]]
     out = np.empty((n, net.output_dim), np.result_type(xb, net.weights[-1]))
-    for lo, hi in zip(starts, [*starts[1:], n]):
+
+    def block(lo_hi):
+        lo, hi = lo_hi
         a = xb[lo:hi]
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            a = np.matmul(a, w, out=out[lo:hi] if i == last else bufs[i][: hi - lo])
+            buf = out[lo:hi] if i == last else np.empty((hi - lo, w.shape[1]), np.result_type(xb, w))
+            a = np.matmul(a, w, out=buf)
             a += b
             if i < last:
                 activate(a, net.activation, out=a)
+
+    _pool_map(block, list(zip(starts, [*starts[1:], n])))
     return out[0] if single else out
 
 

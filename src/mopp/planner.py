@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import adm
+from . import adm, nn
 from .adm import AdmEnsemble
 from .data import Dataset
 from .errors import ConfigError
@@ -42,14 +42,14 @@ class PlannerConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
-        if self.kappa <= 0:
-            raise ConfigError("re-weighting factor must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError("re-weighting factor must be positive and finite")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError("mixture coefficient must lie in [0, 1]")
-        if self.uncertainty_threshold <= 0:
+        if not self.uncertainty_threshold > 0:
             raise ConfigError("uncertainty threshold must be positive")
-        if self.sigma_scale <= 0:
-            raise ConfigError("std scaling parameter must be positive")
+        if not 0 < self.sigma_scale < math.inf:
+            raise ConfigError("std scaling parameter must be positive and finite")
         if self.n_rollouts < 1:
             raise ConfigError("need at least one rollout")
         if self.candidates < 1 or self.value_samples < 1:
@@ -133,12 +133,15 @@ def _guided_actions(states, members, member_idx, q, config, eps):
     n, m, a_dim = eps.shape
     states = np.asarray(states, dtype=np.float32)
     cands = np.empty(eps.shape)
-    for k, member in enumerate(members):
+
+    def member_cands(k):
         rows = np.flatnonzero(member_idx == k)
         if rows.size:
-            mu, sigma = adm.behavior_action_distribution_batch(member, states[rows])
+            mu, sigma = adm.behavior_action_distribution_batch(members[k], states[rows])
             sigma = scale_std(sigma, config.sigma_scale)
             cands[rows] = mu[:, None, :] + sigma[:, None, :] * eps[rows]
+
+    nn._pool_map(member_cands, range(len(members)))
     if not config.use_max_q or q is None or m == 1:
         return cands[:, 0, :].astype(np.float32)
     qv = q.values(np.repeat(states, m, axis=0), cands.reshape(n * m, a_dim)).reshape(n, m)
@@ -244,13 +247,16 @@ def _value_tail(states, behavior: AdmEnsemble, q: QNetwork, members, eps) -> np.
     """
     n, k_q, a_dim = eps.shape
     sampled = np.empty((n, k_q, a_dim), dtype=np.float32)
-    for k, member in enumerate(behavior.members):
-        rows = np.flatnonzero(members == k)
+
+    def member_samples(k):
+        member, rows = behavior.members[k], np.flatnonzero(members == k)
         if rows.size:
             x_n = member.normalize_x(states[rows])
             sampled[rows] = member.denormalize_o(
                 member.sample_normalized(x_n, eps[rows].reshape(rows.size * k_q, a_dim), repeats=k_q)
             ).reshape(rows.size, k_q, a_dim)
+
+    nn._pool_map(member_samples, range(behavior.k))
     v = q.values(np.repeat(states, k_q, axis=0), sampled.reshape(-1, a_dim)).reshape(n, k_q).mean(axis=1)
     return np.where(np.isfinite(v), v, 0.0)
 
@@ -404,6 +410,8 @@ def run_episode(
 AUTO_PERCENTILE = 85.0
 AUTO_MAX_SAMPLES = 4096
 AUTO_FLOOR = 1e-12
+# Chunks of rows, a multiple of the forward block so the GEMMs match one pass's.
+AUTO_CHUNK_ROWS = 2 * nn.FORWARD_BLOCK_ROWS
 
 
 def uncertainty_threshold_from_data(
@@ -424,8 +432,10 @@ def uncertainty_threshold_from_data(
     if n == 0:
         raise ConfigError("cannot calibrate a threshold on an empty dataset")
     idx = np.arange(n) if n <= max_samples else np.linspace(0, n - 1, max_samples).astype(int)
-    preds = adm.dynamics_mode_all(dynamics, dataset.states[idx], dataset.actions[idx])
-    d = adm.disc_from_predictions(preds)
+    d = np.concatenate([
+        adm.disc_from_predictions(adm.dynamics_mode_all(dynamics, dataset.states[rows], dataset.actions[rows]))
+        for rows in np.split(idx, range(AUTO_CHUNK_ROWS, len(idx), AUTO_CHUNK_ROWS))
+    ])
     return max(float(np.percentile(d, percentile)), AUTO_FLOOR)
 
 

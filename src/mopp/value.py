@@ -31,6 +31,8 @@ class FqeConfig:
             raise ConfigError(f"discount must lie in [0, 1), got {self.gamma}")
         if self.iterations < 1 or self.steps_per_iteration < 1 or self.batch_size < 1:
             raise ConfigError("iteration counts and batch size must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
 
 
 class QNetwork:

@@ -358,6 +358,16 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
         ("axis = sigma_m\nvalues = 0.1,0.5", "axis = h\nvalues = 2,0", "[ablate] values = 2.0,0.0: h = 0.0"),
         ("axis = sigma_m\nvalues = 0.1,0.5", "axis = l\nvalues = -0.5", "[ablate] values = -0.5: l = -0.5"),
         ("axis = sigma_m\nvalues = 0.1,0.5", "axis = h\nvalues = inf", "[ablate] values = inf: h = inf"),
+        ("l = auto", "l = auto\nkappa = nan", "[planner] kappa = nan"),
+        ("l = auto", "l = auto\nkappa = inf", "[planner] kappa = inf"),
+        ("l = auto", "l = auto\nsigma_m = nan", "[planner] sigma_m = nan"),
+        ("l = auto", "l = auto\nsigma_m = inf", "[planner] sigma_m = inf"),
+        ("l = auto", "l = nan", "[planner] l = nan"),
+        ("steps = 150", "steps = 150\nlr = nan", "[adm] lr = nan"),
+        ("steps = 150", "steps = 150\nlr = inf", "[adm] lr = inf"),
+        ("gamma = 0.9", "gamma = 0.9\nlr = nan", "[fqe] lr = nan"),
+        ("gamma = 0.9", "gamma = 0.9\nlr = inf", "[fqe] lr = inf"),
+        ("axis = sigma_m\nvalues = 0.1,0.5", "axis = sigma_m\nvalues = 0.1,nan", "[ablate] values = 0.1,nan: sigma_m = nan"),
     ],
 )
 def test_library_range_violation_fails_every_command_before_work(tmp_path, capsys, old, new, key):
