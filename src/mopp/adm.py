@@ -110,6 +110,10 @@ class AdmModel:
             nets = [nn.DenseNet(s, activation, rng=rng) for s in sizes]
         self.embed_net, *self.heads = nets
 
+    def macs(self, rows: int) -> int:
+        """Multiply-adds of the embedding and every head over ``rows`` rows."""
+        return nn._macs([self.embed_net, *self.heads], rows)
+
     def params(self):
         out = list(self.embed_net.params())
         for head in self.heads:
@@ -250,12 +254,13 @@ def _model_loss_and_grads(model: AdmModel, x_n: np.ndarray, o_n: np.ndarray):
         return li, grads, dx[:, : model.embed_width]
 
     d_emb, loss, head_grads = np.zeros_like(emb), 0.0, []
-    for li, grads, dx_emb in nn._pool_map(head_pass, range(len(model.heads))):  # summed in head order
+    macs = 3 * nn._macs(model.heads, len(x_n)) // len(model.heads)  # forward, then two backward products
+    for li, grads, dx_emb in nn._pool_map(head_pass, range(len(model.heads)), macs):  # summed in head order
         d_emb += dx_emb
         head_grads.extend(grads)
         loss += li
     d_emb_lin = d_emb * nn.activate_grad(emb_lin, model.activation)
-    emb_grads, _ = nn.backward(model.embed_net, emb_cache, d_emb_lin)
+    emb_grads, _ = nn.backward(model.embed_net, emb_cache, d_emb_lin, input_grad=False)
     return loss, emb_grads + head_grads
 
 
@@ -312,7 +317,8 @@ def dynamics_mode_all(ensemble: AdmEnsemble, states: np.ndarray, actions: np.nda
         axis=1,
     )
     x_n = (x - ensemble.stats.x_mean) / ensemble.stats.x_std
-    return np.stack(nn._pool_map(lambda m: m.mode_normalized(x_n), ensemble.members))
+    macs = ensemble.members[0].macs(len(x_n))
+    return np.stack(nn._pool_map(lambda m: m.mode_normalized(x_n), ensemble.members, macs))
 
 
 def disc_from_predictions(preds: np.ndarray) -> np.ndarray:

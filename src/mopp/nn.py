@@ -7,6 +7,7 @@ numerical checks (e.g. finite-difference gradient verification).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -33,6 +34,14 @@ NORM_STD_FLOOR = 1e-6
 # Row block of forward: a 256 x 500 float32 activation (512 KB) stays in L2.
 FORWARD_BLOCK_ROWS = 256
 
+# Least multiply-adds per task for a map to use the pool (about 0.3 ms of sgemm);
+# shorter tasks cost more in thread handoffs than the second core gains.
+POOL_MIN_MACS = 1 << 24
+
+# Elements per pooled Adam task; an element costs about as much as 256 sgemm
+# multiply-adds (3.7-10.5 ns against 0.019 ns on a 2-vCPU x86_64 VM).
+ADAM_CHUNK = 1 << 17
+
 NET_MAGIC = b"MOPPNN1\x00"
 
 
@@ -54,15 +63,21 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pools' thr
     os.register_at_fork(after_in_child=_pools.clear)
 
 
-def _pool_map(fn, items) -> list:
+def _macs(nets, rows) -> int:
+    """Multiply-adds of a forward pass of each of ``nets`` over ``rows`` rows."""
+    return rows * sum(w.size for net in nets for w in net.weights)
+
+
+def _pool_map(fn, items, macs) -> list:
     """``[fn(x) for x in items]``, shared between this thread and a pool when there are 2+ workers.
 
-    Each worker, this thread included, takes the next untaken item until none is left, so a
-    slow worker takes fewer. A map inside a task runs inline, and a task's exception reaches
-    the caller unchanged. Callers map independent tasks and combine the results in a fixed
-    order, so outputs do not depend on the pool.
+    ``macs`` is the work of one task in multiply-adds; below POOL_MIN_MACS the map runs
+    inline, as does a map inside a task. Otherwise each worker, this thread included, takes
+    the next untaken item until none is left, so a slow worker takes fewer. A task's
+    exception reaches the caller unchanged. Callers map independent tasks and combine the
+    results in a fixed order, so outputs do not depend on the pool.
     """
-    if _workers < 2 or len(items) < 2 or getattr(_in_task, "flag", False):
+    if _workers < 2 or len(items) < 2 or macs < POOL_MIN_MACS or getattr(_in_task, "flag", False):
         return [fn(x) for x in items]
     with _pool_lock:
         if _workers not in _pools:
@@ -182,17 +197,21 @@ def _as_batch(net: DenseNet, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _row_spans(n: int) -> list:
+    """(lo, hi) row blocks that start at multiples of FORWARD_BLOCK_ROWS; a short tail joins the last."""
+    starts = range(0, max(n - FORWARD_BLOCK_ROWS // 2, 1), FORWARD_BLOCK_ROWS)
+    return list(zip(starts, [*starts[1:], n]))
+
+
 def forward(net: DenseNet, x) -> np.ndarray:
     """Evaluate the network on a vector or a batch of row vectors.
 
-    Rows go through in blocks that start at multiples of FORWARD_BLOCK_ROWS
-    (a short tail joins the last block), on the worker pool; each block has
-    its own activation buffer per layer, and bias and activation are
-    applied in place.
+    Rows go through in the blocks of :func:`_row_spans`, on the worker pool;
+    each block has its own activation buffer per layer, and bias and
+    activation are applied in place.
     """
     xb, single = _as_batch(net, x)
     n, last = xb.shape[0], net.n_layers - 1
-    starts = range(0, max(n - FORWARD_BLOCK_ROWS // 2, 1), FORWARD_BLOCK_ROWS)
     out = np.empty((n, net.output_dim), np.result_type(xb, net.weights[-1]))
 
     def block(lo_hi):
@@ -205,43 +224,50 @@ def forward(net: DenseNet, x) -> np.ndarray:
             if i < last:
                 activate(a, net.activation, out=a)
 
-    _pool_map(block, list(zip(starts, [*starts[1:], n])))
+    _pool_map(block, _row_spans(n), _macs([net], FORWARD_BLOCK_ROWS))
     return out[0] if single else out
 
 
 def forward_cached(net: DenseNet, x) -> tuple[np.ndarray, tuple]:
-    """Forward pass keeping intermediates needed by :func:`backward`."""
+    """Forward pass keeping intermediates needed by :func:`backward`, in the row blocks of :func:`forward`."""
     xb, _ = _as_batch(net, x)
-    acts = [xb]
-    zs = []
-    a = xb
     last = net.n_layers - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = z if i == last else activate(z, net.activation)
-        acts.append(a)
-    return a, (acts, zs)
+    zs = [np.empty((len(xb), w.shape[1]), np.result_type(xb, w)) for w in net.weights]
+    acts = [xb, *(np.empty_like(z) for z in zs[:-1]), zs[-1]]
+
+    def block(lo_hi):
+        lo, hi = lo_hi
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = np.matmul(acts[i][lo:hi], w, out=zs[i][lo:hi])
+            z += b
+            if i < last:
+                activate(z, net.activation, out=acts[i + 1][lo:hi])
+
+    _pool_map(block, _row_spans(len(xb)), _macs([net], FORWARD_BLOCK_ROWS))
+    return zs[-1], (acts, zs)
 
 
-def backward(net: DenseNet, cache, d_out: np.ndarray):
+def backward(net: DenseNet, cache, d_out: np.ndarray, input_grad: bool = True):
     """Backpropagate an output gradient.
 
     Returns (grads, d_input) where grads aligns with ``net.params()`` and
-    d_input is the gradient with respect to the input batch.
+    d_input is the gradient with respect to the input batch, or None when
+    ``input_grad`` is False. A layer's weight and input gradients are two
+    pool tasks.
     """
     acts, zs = cache
     grads = [None] * (2 * net.n_layers)
     delta = d_out
     d_input = None
     for i in range(net.n_layers - 1, -1, -1):
-        grads[2 * i] = acts[i].T @ delta
+        w, a = net.weights[i], acts[i]
+        products = (lambda: a.T @ delta, lambda: delta @ w.T)[: 2 if i or input_grad else 1]
+        grads[2 * i], *back = _pool_map(lambda f: f(), products, w.size * len(delta))
         grads[2 * i + 1] = delta.sum(axis=0)
-        back = delta @ net.weights[i].T
         if i > 0:
-            delta = back * activate_grad(zs[i - 1], net.activation)
-        else:
-            d_input = back
+            delta = back[0] * activate_grad(zs[i - 1], net.activation)
+        elif back:
+            d_input = back[0]
     return grads, d_input
 
 
@@ -319,7 +345,7 @@ def loss_and_grads(
         value, dy = mse_loss_and_grad(y, target)
     else:
         value, dy = gaussian_loss_and_grad(y, target, sigma_min, sigma_max)
-    grads, _ = backward(net, cache, dy)
+    grads, _ = backward(net, cache, dy, input_grad=False)
     return value, grads
 
 
@@ -343,7 +369,12 @@ class AdamState:
 
 
 def adam_update(params, grads, state: AdamState) -> None:
-    """One adaptive-moment step, updating ``params`` and ``state`` in place."""
+    """One adaptive-moment step, updating ``params`` and ``state`` in place.
+
+    The update is elementwise, so it runs on the pool in ADAM_CHUNK-element
+    ranges of the parameters taken end to end; a parameter cut by a range
+    boundary is updated through slices of its flat view.
+    """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter / gradient / state length mismatch")
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -351,18 +382,30 @@ def adam_update(params, grads, state: AdamState) -> None:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if p.shape != m.shape:
             raise ValueError("optimizer state shape does not match parameters")
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError("parameters and optimizer state must be C-contiguous")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / corr1
-        v_hat = v / corr2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    quads = list(zip(params, grads, state.m, state.v))
+    starts = [0, *itertools.accumulate(p.size for p in params)]
+
+    def chunk(lo):
+        for arrays, start, end in zip(quads, starts, starts[1:]):
+            a, b = max(lo, start) - start, min(lo + ADAM_CHUNK, end) - start
+            if a >= b:
+                continue
+            p, g, m, v = arrays if b - a == end - start else (x.reshape(-1)[a:b] for x in arrays)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            m_hat = m / corr1
+            v_hat = v / corr2
+            p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+
+    _pool_map(chunk, range(0, starts[-1], ADAM_CHUNK), 256 * ADAM_CHUNK)
 
 
 def save_net(net: DenseNet, path) -> None:

@@ -141,7 +141,7 @@ def _guided_actions(states, members, member_idx, q, config, eps):
             sigma = scale_std(sigma, config.sigma_scale)
             cands[rows] = mu[:, None, :] + sigma[:, None, :] * eps[rows]
 
-    nn._pool_map(member_cands, range(len(members)))
+    nn._pool_map(member_cands, range(len(members)), members[0].macs(n // len(members)))
     if not config.use_max_q or q is None or m == 1:
         return cands[:, 0, :].astype(np.float32)
     qv = q.values(np.repeat(states, m, axis=0), cands.reshape(n * m, a_dim)).reshape(n, m)
@@ -256,7 +256,7 @@ def _value_tail(states, behavior: AdmEnsemble, q: QNetwork, members, eps) -> np.
                 member.sample_normalized(x_n, eps[rows].reshape(rows.size * k_q, a_dim), repeats=k_q)
             ).reshape(rows.size, k_q, a_dim)
 
-    nn._pool_map(member_samples, range(behavior.k))
+    nn._pool_map(member_samples, range(behavior.k), behavior.members[0].macs(n * k_q // behavior.k))
     v = q.values(np.repeat(states, k_q, axis=0), sampled.reshape(-1, a_dim)).reshape(n, k_q).mean(axis=1)
     return np.where(np.isfinite(v), v, 0.0)
 

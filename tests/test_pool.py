@@ -1,7 +1,9 @@
-"""The worker pool: its size rule, its map, and 1-vs-2-worker bit identity.
+"""The worker pool: its worker-count and size rules, its map, and 1-vs-2-worker bit identity.
 
 Every pooled path maps independent tasks and combines their results in a
 fixed order, so a forced 2-worker pool must reproduce the 1-worker bytes.
+The bit-identity oracles set the work threshold to 0, so that every map of
+the small test networks runs on the pool.
 """
 
 import os
@@ -23,7 +25,8 @@ def two_workers(monkeypatch):
 
 
 def with_workers(monkeypatch, fn):
-    """``fn()`` run with a 1-worker and then a 2-worker pool: (result on 1, result on 2)."""
+    """``fn()`` run with a 1-worker and then a 2-worker pool, every map pooled: (result on 1, result on 2)."""
+    monkeypatch.setattr(nn, "POOL_MIN_MACS", 0)
     out = []
     for workers in (1, 2):
         monkeypatch.setattr(nn, "_workers", workers)
@@ -81,7 +84,18 @@ def test_worker_count_is_usable_cpus_over_blas_threads(monkeypatch, cpus, env, w
 def test_pool_map_runs_inline_on_one_worker(monkeypatch):
     monkeypatch.setattr(nn, "_workers", 1)
     caller = threading.get_ident()
-    assert nn._pool_map(lambda x: threading.get_ident(), range(4)) == [caller] * 4
+    assert nn._pool_map(lambda x: threading.get_ident(), range(4), nn.POOL_MIN_MACS) == [caller] * 4
+
+
+def test_size_rule_runs_small_tasks_inline_and_large_ones_on_two_threads(two_workers):
+    def task(i):
+        time.sleep(0.01)  # long enough for the pool thread to take an item
+        return threading.get_ident()
+
+    small = nn._pool_map(task, range(6), nn.POOL_MIN_MACS - 1)
+    assert small == [threading.get_ident()] * 6
+    large = nn._pool_map(task, range(6), nn.POOL_MIN_MACS)
+    assert threading.get_ident() in large and len(set(large)) == 2
 
 
 def test_pool_map_keeps_item_order_and_shares_items_with_the_caller(two_workers):
@@ -89,7 +103,7 @@ def test_pool_map_keeps_item_order_and_shares_items_with_the_caller(two_workers)
         time.sleep(0.01 * (6 - i))  # later items finish first
         return i * i, threading.get_ident()
 
-    results = nn._pool_map(task, range(7))
+    results = nn._pool_map(task, range(7), nn.POOL_MIN_MACS)
     assert [r for r, _ in results] == [i * i for i in range(7)]
     threads = {t for _, t in results}
     assert threading.get_ident() in threads and len(threads) == 2  # the caller is a worker too
@@ -98,11 +112,11 @@ def test_pool_map_keeps_item_order_and_shares_items_with_the_caller(two_workers)
 def test_nested_pool_map_runs_inline_in_its_worker(two_workers):
     def outer(i):
         me = threading.get_ident()
-        inner = nn._pool_map(lambda j: (i, j, threading.get_ident() == me), range(4))
+        inner = nn._pool_map(lambda j: (i, j, threading.get_ident() == me), range(4), nn.POOL_MIN_MACS)
         return inner
 
     box = []
-    runner = threading.Thread(target=lambda: box.append(nn._pool_map(outer, range(4))), daemon=True)
+    runner = threading.Thread(target=lambda: box.append(nn._pool_map(outer, range(4), nn.POOL_MIN_MACS)), daemon=True)
     runner.start()
     runner.join(timeout=30)
     assert not runner.is_alive(), "nested map did not complete"
@@ -123,17 +137,17 @@ def test_pool_map_reraises_the_task_exception_unchanged(two_workers, failing):
         return i
 
     with pytest.raises(TaskFailed) as info:
-        nn._pool_map(task, range(5))
+        nn._pool_map(task, range(5), nn.POOL_MIN_MACS)
     assert info.value is raised
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_maps_on_a_fresh_pool(two_workers):
-    nn._pool_map(time.sleep, [0.05] * 4)  # the parent's pool starts both its threads,
+    nn._pool_map(time.sleep, [0.05] * 4, nn.POOL_MIN_MACS)  # the parent's pool starts both its threads,
     time.sleep(0.2)  # which go idle: a pool copied into the child would start no new ones
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if nn._pool_map(abs, [-3, -4]) == [3, 4] else 1)
+        os._exit(0 if nn._pool_map(abs, [-3, -4], nn.POOL_MIN_MACS) == [3, 4] else 1)
     deadline = time.monotonic() + 30
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.02)
@@ -155,12 +169,70 @@ def test_forward_is_bit_identical_on_two_workers(monkeypatch, rows):
     assert as_bytes(one) == as_bytes(two)
 
 
+@pytest.mark.parametrize("rows", [1, 255, 256, 383, 384, 512, 1500])
+def test_forward_cached_is_bit_identical_on_two_workers_and_matches_forward(monkeypatch, rows):
+    net = nn.DenseNet([6, 64, 48, 3], rng=0)
+    x = np.random.default_rng(rows).standard_normal((rows, 6)).astype(np.float32)
+    one, two = with_workers(monkeypatch, lambda: nn.forward_cached(net, x))
+    assert as_bytes(one) == as_bytes(two)
+    assert as_bytes(one[0]) == as_bytes(nn.forward(net, x))
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_backward_is_bit_identical_on_two_workers(monkeypatch, input_grad):
+    net = nn.DenseNet([6, 64, 48, 3], rng=0)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((512, 6)).astype(np.float32)
+    d_out = rng.standard_normal((512, 3)).astype(np.float32)
+    cache = nn.forward_cached(net, x)[1]
+    one, two = with_workers(monkeypatch, lambda: nn.backward(net, cache, d_out, input_grad=input_grad))
+    assert as_bytes(one) == as_bytes(two)
+    full = nn.backward(net, cache, d_out)
+    assert as_bytes(one[0]) == as_bytes(full[0])  # skipping the input gradient leaves the others as they are
+    assert (one[1] is None) != input_grad
+
+
+def test_adam_update_across_chunk_boundaries_matches_the_whole_array_update(monkeypatch):
+    monkeypatch.setattr(nn, "ADAM_CHUNK", 1000)  # 6 chunks; W0 and W1 each straddle a boundary
+    rng = np.random.default_rng(2)
+    net = nn.DenseNet([30, 60, 40, 2], rng=3)
+    grads = [[rng.standard_normal(p.shape).astype(np.float32) for p in net.params()] for _ in range(3)]
+
+    def run():
+        params = [p.copy() for p in net.params()]
+        state = nn.AdamState(params, learning_rate=0.01)
+        for g in grads:
+            nn.adam_update(params, g, state)
+        return params, state.m, state.v
+
+    one, two = with_workers(monkeypatch, run)
+    assert as_bytes(one) == as_bytes(two)
+    params = [p.copy() for p in net.params()]
+    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    for step, g in enumerate(grads, 1):  # the unchunked update, one whole array at a time
+        for p, gi, mi, vi in zip(params, g, m, v):
+            mi *= 0.9
+            mi += (1.0 - 0.9) * gi
+            vi *= 0.999
+            vi += (1.0 - 0.999) * (gi * gi)
+            p -= 0.01 * (mi / (1.0 - 0.9**step)) / (np.sqrt(vi / (1.0 - 0.999**step)) + 1e-8)
+    assert as_bytes(one) == as_bytes((params, m, v))
+
+
+def test_adam_update_rejects_non_contiguous_parameters():
+    w = np.zeros((4, 3), np.float32).T  # a transposed view: its flat view would be a copy
+    state = nn.AdamState([w])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        nn.adam_update([w], [np.ones_like(w)], state)
+
+
 def small_dataset(episodes, max_steps=200, seed=0):
     env = envs.pointmass_env(max_steps=max_steps)
     return data.generate_dataset(env, envs.scripted_policy("medium", env, seed=1), episodes=episodes, seed=seed)
 
 
-TINY_ADM = adm.AdmConfig(members=2, steps=4, batch_size=64, embed_width=32, head_hidden=(16, 8))
+# 512-row batches: every forward_cached splits into two row blocks.
+TINY_ADM = adm.AdmConfig(members=2, steps=4, batch_size=512, embed_width=32, head_hidden=(16, 8))
 
 
 @pytest.mark.parametrize("role", adm.ROLES)
@@ -172,7 +244,7 @@ def test_adm_train_is_bit_identical_on_two_workers(monkeypatch, role):
 
 def test_fqe_train_is_bit_identical_on_two_workers(monkeypatch):
     dataset = small_dataset(3)
-    cfg = value.FqeConfig(iterations=3, steps_per_iteration=4, batch_size=64, hidden=(32, 32))
+    cfg = value.FqeConfig(iterations=3, steps_per_iteration=4, batch_size=512, hidden=(32, 32))
     one, two = with_workers(monkeypatch, lambda: value.fqe_train(dataset, cfg, seed=3))
     assert as_bytes([one.net.params(), one.y_mean, one.y_std, one.iteration_deltas]) == as_bytes(
         [two.net.params(), two.y_mean, two.y_std, two.iteration_deltas]
@@ -243,6 +315,7 @@ def test_concurrent_callers_on_many_workers_get_one_pool_and_the_same_bytes(monk
 
     monkeypatch.setattr(nn, "_workers", 1)
     want = work()
+    monkeypatch.setattr(nn, "POOL_MIN_MACS", 0)
     monkeypatch.setattr(nn, "_workers", 8)
     monkeypatch.setattr(nn, "_pools", {})
     results = []
