@@ -54,8 +54,6 @@ class AdmConfig:
     embed_width: int = EMBED_WIDTH
     head_hidden: tuple = HEAD_HIDDEN
     activation: str = "relu"
-    sigma_min: float = nn.SIGMA_MIN
-    sigma_max: float = nn.SIGMA_MAX
 
     def __post_init__(self):
         if self.members < 1:
@@ -64,6 +62,10 @@ class AdmConfig:
             raise ConfigError("steps and batch size must be positive")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if min(self.embed_width, *self.head_hidden) < 1:
+            raise ConfigError(f"embedding and head widths must be positive, got {self.embed_width} and {self.head_hidden}")
+        if self.activation not in nn.ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}; options: {nn.ACTIVATIONS}")
 
 
 def _net_layer_sizes(input_dim: int, output_dim: int, embed_width: int, head_hidden) -> list:
@@ -291,8 +293,6 @@ def adm_train(dataset: Dataset, role: str, config: AdmConfig, seed: int = 0) -> 
             embed_width=config.embed_width,
             head_hidden=config.head_hidden,
             activation=config.activation,
-            sigma_min=config.sigma_min,
-            sigma_max=config.sigma_max,
             rng=rng,
         )
         params = model.params()

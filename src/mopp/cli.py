@@ -63,26 +63,19 @@ def _require(path: str, hint: str) -> None:
         raise ConfigError(f"missing artifact {path}; {hint}")
 
 
-def _reward_transform(cfg: RunConfig):
-    """Planning/FQE reward reshaping selected by the constraint mode."""
+def _constraints(cfg: RunConfig) -> planner.ConstraintConfig:
+    """Planning hooks selected by the constraint mode; `train-q` fits Q under the same reward transform."""
     cap = cfg.v_cap if cfg.v_cap is not None else envs.DEFAULT_V_CAP
     if cfg.constraint == "height_bonus":
-        return envs.height_bonus_reward(alpha=cfg.alpha_r, weight=cfg.constraint_weight)
+        reward = envs.height_bonus_reward(alpha=cfg.alpha_r, weight=cfg.constraint_weight)
+        return planner.ConstraintConfig(reward_transform=reward)
     if cfg.constraint == "velocity_penalty":
-        return envs.velocity_penalty_reward(
-            v_cap=cap, alpha=cfg.alpha_c, weight=cfg.constraint_weight
-        )
-    return None
-
-
-def _constraints(cfg: RunConfig) -> planner.ConstraintConfig:
-    cap = cfg.v_cap if cfg.v_cap is not None else envs.DEFAULT_V_CAP
-    penalty = None
+        reward = envs.velocity_penalty_reward(v_cap=cap, alpha=cfg.alpha_c, weight=cfg.constraint_weight)
+        return planner.ConstraintConfig(reward_transform=reward)
     if cfg.constraint == "velocity_rollout":
         penalty = envs.velocity_rollout_penalty(v_cap=cap, weight=cfg.constraint_weight)
-    return planner.ConstraintConfig(
-        reward_transform=_reward_transform(cfg), rollout_penalty=penalty
-    )
+        return planner.ConstraintConfig(rollout_penalty=penalty)
+    return planner.ConstraintConfig()
 
 
 def _load_bundle(cfg: RunConfig, out_dir: str):
@@ -149,8 +142,11 @@ def _calibration_key(dataset_path: str, checkpoint_files) -> str:
     """SHA-256 over numpy's version and the code, dataset and checkpoint files, each framed by name and size."""
     h = hashlib.sha256(np.__version__.encode())
     for path in (*CALIBRATION_CODE, dataset_path, *checkpoint_files):
-        with open(path, "rb") as f:
-            blob = f.read()
+        try:
+            with open(path, "rb") as f:
+                blob = f.read()
+        except OSError as err:
+            raise FormatError(f"{path}: cannot read ({err.strerror})") from None
         h.update(f"\n{os.path.basename(path)} {len(blob)}\n".encode())
         h.update(blob)
     return h.hexdigest()
@@ -193,25 +189,16 @@ def _load_dataset(cfg: RunConfig, out_dir: str) -> data.Dataset:
     return data.load_dataset(path)
 
 
-def cmd_train_dynamics(args) -> int:
+def cmd_train_adm(args) -> int:
+    """Fit the ``args.role`` ensemble: k1 dynamics or k2 behavior members."""
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
+    members = cfg.k1 if args.role == "dynamics" else cfg.k2
     t0 = time.perf_counter()
-    ensemble = adm.adm_train(dataset, "dynamics", adm_config(cfg, cfg.k1), seed=cfg.dynamics_seed)
-    out = _resolve(args.out, cfg.dynamics_dir)
+    ensemble = adm.adm_train(dataset, args.role, adm_config(cfg, members), seed=getattr(cfg, f"{args.role}_seed"))
+    out = _resolve(args.out, getattr(cfg, f"{args.role}_dir"))
     adm.save_ensemble(ensemble, out)
-    _info(args, f"trained {cfg.k1} dynamics members in {time.perf_counter() - t0:.0f}s -> {out}")
-    return 0
-
-
-def cmd_train_behavior(args) -> int:
-    cfg = _load_run_config(args)
-    dataset = _load_dataset(cfg, args.out)
-    t0 = time.perf_counter()
-    ensemble = adm.adm_train(dataset, "behavior", adm_config(cfg, cfg.k2), seed=cfg.behavior_seed)
-    out = _resolve(args.out, cfg.behavior_dir)
-    adm.save_ensemble(ensemble, out)
-    _info(args, f"trained {cfg.k2} behavior members in {time.perf_counter() - t0:.0f}s -> {out}")
+    _info(args, f"trained {members} {args.role} members in {time.perf_counter() - t0:.0f}s -> {out}")
     return 0
 
 
@@ -219,7 +206,7 @@ def cmd_train_q(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
     t0 = time.perf_counter()
-    q = value.fqe_train(dataset, fqe_config(cfg, _reward_transform(cfg)), seed=cfg.fqe_seed)
+    q = value.fqe_train(dataset, fqe_config(cfg, _constraints(cfg).reward_transform), seed=cfg.fqe_seed)
     out = _resolve(args.out, cfg.q_dir)
     value.save_q(q, out)
     tag = f" (reward transform: {cfg.constraint})" if cfg.constraint != "none" else ""
@@ -243,50 +230,43 @@ def _format_row(values) -> str:
     return ",".join(out)
 
 
+def _episodes(cfg: RunConfig, bundle, pcfg, constraints):
+    """Plan the configured seeds x episodes; yields (seed, episode, result, or the MoppError it raised)."""
+    for seed in cfg.seeds:
+        for ep in range(cfg.episodes):
+            try:
+                res = planner.run_episode(_make_env(cfg), bundle, pcfg, constraints=constraints, seed=(seed, ep))
+            except MoppError as err:
+                res = err
+            yield seed, ep, res
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes=cfg.use_pruning)
     pcfg = planner_config(cfg, threshold)
-    constraints = _constraints(cfg)
     _info(args, f"evaluating: {note}")
 
     rows = []
-    failed = False
     per_seed = {}
     first_episode_diag = None
-    for seed in cfg.seeds:
-        outcomes = []
-        for ep in range(cfg.episodes):
-            env = _make_env(cfg)
-            try:
-                res = planner.run_episode(env, bundle, pcfg, constraints=constraints, seed=(seed, ep))
-                rows.append((seed, ep, float(res.ret), res.steps, res.violations, "ok"))
-                outcomes.append(res)
-                if first_episode_diag is None:
-                    first_episode_diag = planner.diagnostics_csv(res)
-                _info(args, f"seed {seed} episode {ep}: return {res.ret:.2f} violations {res.violations}")
-            except MoppError as err:
-                failed = True
-                rows.append((seed, ep, "", "", "", "failed"))
-                print(f"seed {seed} episode {ep} failed: {err}", file=sys.stderr)
-        if outcomes:
-            per_seed[seed] = (
-                float(np.mean([r.ret for r in outcomes])),
-                float(np.mean([r.steps for r in outcomes])),
-                float(np.mean([r.violations for r in outcomes])),
-            )
+    for seed, ep, res in _episodes(cfg, bundle, pcfg, _constraints(cfg)):
+        if isinstance(res, MoppError):
+            rows.append((seed, ep, "", "", "", "failed"))
+            print(f"seed {seed} episode {ep} failed: {res}", file=sys.stderr)
+            continue
+        rows.append((seed, ep, float(res.ret), res.steps, res.violations, "ok"))
+        per_seed.setdefault(seed, []).append(res)
+        if first_episode_diag is None:
+            first_episode_diag = planner.diagnostics_csv(res)
+        _info(args, f"seed {seed} episode {ep}: return {res.ret:.2f} violations {res.violations}")
+    failed = any(row[-1] == "failed" for row in rows)
 
-    header = "seed,episode,return,steps,violations"
-    lines = []
-    if failed:
-        header += ",status"
-        for row in rows:
-            lines.append(_format_row(row))
-    else:
-        for row in rows:
-            lines.append(_format_row(row[:-1]))
+    header = "seed,episode,return,steps,violations" + (",status" if failed else "")
+    lines = [_format_row(row if failed else row[:-1]) for row in rows]
     if per_seed:
-        means = np.array(list(per_seed.values()))
+        fields = ("ret", "steps", "violations")
+        means = np.array([[np.mean([getattr(r, f) for r in rs]) for f in fields] for rs in per_seed.values()])
         ret_mean, ret_std = float(means[:, 0].mean()), float(means[:, 0].std())
         steps_mean = float(means[:, 1].mean())
         viol_mean, viol_std = float(means[:, 2].mean()), float(means[:, 2].std())
@@ -325,27 +305,22 @@ def cmd_ablate(args) -> int:
     failed = False
     for axis_value in cfg.ablate_values:
         for variant in cfg.ablate_variants:
-            axis = ablate_axis_field(cfg, axis_value)
-            pcfg = dataclasses.replace(base, **axis, **ABLATE_VARIANTS[variant])
+            pcfg = dataclasses.replace(base, **ablate_axis_field(cfg, axis_value), **ABLATE_VARIANTS[variant])
             rets, viols = [], []
-            try:
-                for seed in cfg.seeds:
-                    for ep in range(cfg.episodes):
-                        env = _make_env(cfg)
-                        res = planner.run_episode(
-                            env, bundle, pcfg, constraints=constraints, seed=(seed, ep)
-                        )
-                        rets.append(res.ret)
-                        viols.append(res.violations)
+            for _, _, res in _episodes(cfg, bundle, pcfg, constraints):
+                if isinstance(res, MoppError):
+                    failed = True
+                    lines.append(f"{cfg.ablate_axis},{axis_value},{variant},,,")
+                    print(f"cell {axis_value}/{variant} failed: {res}", file=sys.stderr)
+                    break
+                rets.append(res.ret)
+                viols.append(res.violations)
+            else:
                 lines.append(
                     f"{cfg.ablate_axis},{axis_value},{variant},"
                     f"{np.mean(rets):.6f},{np.std(rets):.6f},{np.mean(viols):.6f}"
                 )
                 _info(args, f"{cfg.ablate_axis}={axis_value} {variant}: {np.mean(rets):.2f}")
-            except MoppError as err:
-                failed = True
-                lines.append(f"{cfg.ablate_axis},{axis_value},{variant},,,")
-                print(f"cell {axis_value}/{variant} failed: {err}", file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "ablation.csv")
@@ -372,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-data", parents=[common], help="roll scripted-policy episodes into a dataset file").set_defaults(fn=cmd_gen_data)
-    sub.add_parser("train-dynamics", parents=[common], help="fit the dynamics ensemble").set_defaults(fn=cmd_train_dynamics)
-    sub.add_parser("train-behavior", parents=[common], help="fit the behavior ensemble").set_defaults(fn=cmd_train_behavior)
+    for role in ("dynamics", "behavior"):
+        sub.add_parser(f"train-{role}", parents=[common], help=f"fit the {role} ensemble").set_defaults(fn=cmd_train_adm, role=role)
     sub.add_parser("train-q", parents=[common], help="fit the behavioral Q-function (honors the constraint reward transform)").set_defaults(fn=cmd_train_q)
     sub.add_parser("evaluate", parents=[common], help="run planning episodes and write results.csv").set_defaults(fn=cmd_evaluate)
     sub.add_parser("ablate", parents=[common], help="sweep one axis with component toggles into ablation.csv").set_defaults(fn=cmd_ablate)

@@ -26,10 +26,9 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
-def _parse_float_or_auto(text: str):
-    if text.strip().lower() == "auto":
-        return None
-    return float(text)
+def _or_auto(parse):
+    """``parse``, with ``auto`` read as None."""
+    return lambda text: None if text.strip().lower() == "auto" else parse(text)
 
 
 def _parse_optional_float(text: str):
@@ -38,7 +37,7 @@ def _parse_optional_float(text: str):
 
 @dataclass
 class RunConfig:
-    """Every knob of the pipeline; defaults mirror the benchmark settings."""
+    """Every knob of the pipeline. A knob that sets a library config field defaults to that field's default."""
 
     # [run]
     env: str = "pointmass"
@@ -54,37 +53,37 @@ class RunConfig:
     data_episodes: int = 100
     data_seed: int = 0
     # [adm]
-    k1: int = 3
-    k2: int = 3
-    adm_steps: int = 20000
-    adm_batch: int = 256
-    adm_lr: float = 1e-3
-    adm_embed: int = 500
-    adm_head_hidden: tuple = (200, 100)
-    adm_activation: str = "relu"
+    k1: int = AdmConfig.members
+    k2: int = AdmConfig.members
+    adm_steps: int = AdmConfig.steps
+    adm_batch: int = AdmConfig.batch_size
+    adm_lr: float = AdmConfig.learning_rate
+    adm_embed: int = AdmConfig.embed_width
+    adm_head_hidden: tuple = AdmConfig.head_hidden
+    adm_activation: str = AdmConfig.activation
     dynamics_seed: int = 1
     behavior_seed: int = 2
     # [fqe]
-    fqe_gamma: float = 0.99
-    fqe_iterations: int = 40
-    fqe_steps: int = 500
-    fqe_batch: int = 512
-    fqe_lr: float = 1e-3
-    fqe_hidden: tuple = (500, 500)
+    fqe_gamma: float = FqeConfig.gamma
+    fqe_iterations: int = FqeConfig.iterations
+    fqe_steps: int = FqeConfig.steps_per_iteration
+    fqe_batch: int = FqeConfig.batch_size
+    fqe_lr: float = FqeConfig.learning_rate
+    fqe_hidden: tuple = FqeConfig.hidden
     fqe_seed: int = 3
     # [planner]
-    horizon: int = 4
-    kappa: float = 3.0
-    beta: float = 0.0
+    horizon: int = PlannerConfig.horizon
+    kappa: float = PlannerConfig.kappa
+    beta: float = PlannerConfig.beta
     threshold: Optional[float] = None  # None -> percentile rule on the dataset
-    sigma_m: float = 0.5
-    n_rollouts: int = 100
-    n_min: Optional[int] = None  # None -> floor(0.2 N)
-    candidates: int = 10
-    k_q: int = 10
-    use_max_q: bool = True
-    use_pruning: bool = True
-    use_value: bool = True
+    sigma_m: float = PlannerConfig.sigma_scale
+    n_rollouts: int = PlannerConfig.n_rollouts
+    n_min: Optional[int] = PlannerConfig.n_min  # None -> floor(0.2 N)
+    candidates: int = PlannerConfig.candidates
+    k_q: int = PlannerConfig.value_samples
+    use_max_q: bool = PlannerConfig.use_max_q
+    use_pruning: bool = PlannerConfig.use_pruning
+    use_value: bool = PlannerConfig.use_value
     # [constraint]
     constraint: str = "none"
     alpha_r: float = 0.4
@@ -96,71 +95,70 @@ class RunConfig:
     ablate_variants: tuple = ("full", "noMQ", "noP")
 
 
-# (section, key) -> (attribute, parser); parsers raise ValueError on bad input.
+# [section] key -> (RunConfig attribute, parser, the field it sets in the
+# section's library config or None). Parsers raise ValueError on bad input.
+# [adm] k1 and k2 set AdmConfig.members of the dynamics and behavior ensembles.
 _SCHEMA = {
     "run": {
-        "env": ("env", str),
-        "v_cap": ("v_cap", _parse_optional_float),
-        "dataset": ("dataset", str),
-        "dynamics_dir": ("dynamics_dir", str),
-        "behavior_dir": ("behavior_dir", str),
-        "q_dir": ("q_dir", str),
-        "seeds": ("seeds", _parse_int_list),
-        "episodes": ("episodes", int),
+        "env": ("env", str, None),
+        "v_cap": ("v_cap", _parse_optional_float, None),
+        "dataset": ("dataset", str, None),
+        "dynamics_dir": ("dynamics_dir", str, None),
+        "behavior_dir": ("behavior_dir", str, None),
+        "q_dir": ("q_dir", str, None),
+        "seeds": ("seeds", _parse_int_list, None),
+        "episodes": ("episodes", int, None),
     },
     "data": {
-        "policy": ("data_policy", str),
-        "episodes": ("data_episodes", int),
-        "seed": ("data_seed", int),
+        "policy": ("data_policy", str, None),
+        "episodes": ("data_episodes", int, None),
+        "seed": ("data_seed", int, None),
     },
     "adm": {
-        "k1": ("k1", int),
-        "k2": ("k2", int),
-        "steps": ("adm_steps", int),
-        "batch": ("adm_batch", int),
-        "lr": ("adm_lr", float),
-        "embed": ("adm_embed", int),
-        "head_hidden": ("adm_head_hidden", _parse_int_list),
-        "activation": ("adm_activation", str),
-        "dynamics_seed": ("dynamics_seed", int),
-        "behavior_seed": ("behavior_seed", int),
+        "k1": ("k1", int, None),
+        "k2": ("k2", int, None),
+        "steps": ("adm_steps", int, "steps"),
+        "batch": ("adm_batch", int, "batch_size"),
+        "lr": ("adm_lr", float, "learning_rate"),
+        "embed": ("adm_embed", int, "embed_width"),
+        "head_hidden": ("adm_head_hidden", _parse_int_list, "head_hidden"),
+        "activation": ("adm_activation", str, "activation"),
+        "dynamics_seed": ("dynamics_seed", int, None),
+        "behavior_seed": ("behavior_seed", int, None),
     },
     "fqe": {
-        "gamma": ("fqe_gamma", float),
-        "iterations": ("fqe_iterations", int),
-        "steps": ("fqe_steps", int),
-        "batch": ("fqe_batch", int),
-        "lr": ("fqe_lr", float),
-        "hidden": ("fqe_hidden", _parse_int_list),
-        "seed": ("fqe_seed", int),
+        "gamma": ("fqe_gamma", float, "gamma"),
+        "iterations": ("fqe_iterations", int, "iterations"),
+        "steps": ("fqe_steps", int, "steps_per_iteration"),
+        "batch": ("fqe_batch", int, "batch_size"),
+        "lr": ("fqe_lr", float, "learning_rate"),
+        "hidden": ("fqe_hidden", _parse_int_list, "hidden"),
+        "seed": ("fqe_seed", int, None),
     },
     "planner": {
-        "h": ("horizon", int),
-        "kappa": ("kappa", float),
-        "beta": ("beta", float),
-        "l": ("threshold", _parse_float_or_auto),
-        "sigma_m": ("sigma_m", float),
-        "n": ("n_rollouts", int),
-        "n_min": (
-            "n_min",
-            lambda t: None if t.strip().lower() == "auto" else int(t),
-        ),
-        "m": ("candidates", int),
-        "k_q": ("k_q", int),
-        "use_max_q": ("use_max_q", _parse_bool),
-        "use_pruning": ("use_pruning", _parse_bool),
-        "use_value": ("use_value", _parse_bool),
+        "h": ("horizon", int, "horizon"),
+        "kappa": ("kappa", float, "kappa"),
+        "beta": ("beta", float, "beta"),
+        "l": ("threshold", _or_auto(float), "uncertainty_threshold"),
+        "sigma_m": ("sigma_m", float, "sigma_scale"),
+        "n": ("n_rollouts", int, "n_rollouts"),
+        "n_min": ("n_min", _or_auto(int), "n_min"),
+        "m": ("candidates", int, "candidates"),
+        "k_q": ("k_q", int, "value_samples"),
+        "use_max_q": ("use_max_q", _parse_bool, "use_max_q"),
+        "use_pruning": ("use_pruning", _parse_bool, "use_pruning"),
+        "use_value": ("use_value", _parse_bool, "use_value"),
     },
     "constraint": {
-        "mode": ("constraint", str),
-        "alpha_r": ("alpha_r", float),
-        "alpha_c": ("alpha_c", float),
-        "weight": ("constraint_weight", float),
+        "mode": ("constraint", str, None),
+        "alpha_r": ("alpha_r", float, None),
+        "alpha_c": ("alpha_c", float, None),
+        "weight": ("constraint_weight", float, None),
     },
     "ablate": {
-        "axis": ("ablate_axis", str),
-        "values": ("ablate_values", lambda t: tuple(float(v) for v in t.split(","))),
-        "variants": ("ablate_variants", lambda t: tuple(v.strip() for v in t.split(","))),
+        "axis": ("ablate_axis", str, None),
+        "values": ("ablate_values", lambda t: tuple(float(v) for v in t.split(",")), None),
+        "variants": ("ablate_variants", lambda t: tuple(v.strip() for v in t.split(",")), None),
     },
 }
 
@@ -176,7 +174,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f, source=str(path))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"config parse error: {err}") from err
@@ -193,7 +191,7 @@ def load_config(path) -> RunConfig:
                     f"{path}: unknown key {key!r} in [{section}]; "
                     f"known: {sorted(_SCHEMA[section])}"
                 )
-            attr, parse = _SCHEMA[section][key]
+            attr, parse, _ = _SCHEMA[section][key]
             try:
                 setattr(cfg, attr, parse(raw))
             except ValueError as err:
@@ -236,12 +234,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"use_pruning needs k1 >= 2 dynamics members, got k1 = {cfg.k1}")
 
 
-# [ablate] axis -> the PlannerConfig field its values set and their type
-ABLATE_AXES = {
-    "sigma_m": ("sigma_scale", float),
-    "h": ("horizon", int),
-    "l": ("uncertainty_threshold", float),
-}
+# [ablate] axis, a [planner] key -> the type of the PlannerConfig field its values set
+ABLATE_AXES = {"sigma_m": float, "h": int, "l": float}
 # [ablate] variant -> the PlannerConfig toggles it turns off
 ABLATE_VARIANTS = {
     "full": {},
@@ -253,61 +247,42 @@ ABLATE_VARIANTS = {
 
 def ablate_axis_field(cfg: RunConfig, axis_value: float) -> dict:
     """The PlannerConfig field, as a replace() keyword, that one [ablate] value sets."""
-    field, kind = ABLATE_AXES[cfg.ablate_axis]
+    kind = ABLATE_AXES[cfg.ablate_axis]
+    field = _SCHEMA["planner"][cfg.ablate_axis][2]
+    if kind is int and not axis_value.is_integer():
+        raise ValueError("not a whole number")
     return {field: kind(axis_value)}
 
 
+_LIBRARY_CONFIGS = {"adm": AdmConfig, "fqe": FqeConfig, "planner": PlannerConfig}
+
+
+def _library_config(section: str, cfg: RunConfig, **fields):
+    """The library config of ``[section]``: ``fields``, and every other field from the key that sets it."""
+    for attr, _, field in _SCHEMA[section].values():
+        if field is not None:
+            fields.setdefault(field, getattr(cfg, attr))
+    return _LIBRARY_CONFIGS[section](**fields)
+
+
 def planner_config(cfg: RunConfig, threshold: float) -> PlannerConfig:
-    return PlannerConfig(
-        horizon=cfg.horizon,
-        kappa=cfg.kappa,
-        beta=cfg.beta,
-        uncertainty_threshold=threshold,
-        sigma_scale=cfg.sigma_m,
-        n_rollouts=cfg.n_rollouts,
-        n_min=cfg.n_min,
-        candidates=cfg.candidates,
-        value_samples=cfg.k_q,
-        use_max_q=cfg.use_max_q,
-        use_pruning=cfg.use_pruning,
-        use_value=cfg.use_value,
-    )
+    return _library_config("planner", cfg, uncertainty_threshold=threshold)
 
 
 def adm_config(cfg: RunConfig, members: int) -> AdmConfig:
-    return AdmConfig(
-        members=members,
-        steps=cfg.adm_steps,
-        batch_size=cfg.adm_batch,
-        learning_rate=cfg.adm_lr,
-        embed_width=cfg.adm_embed,
-        head_hidden=cfg.adm_head_hidden,
-        activation=cfg.adm_activation,
-    )
+    return _library_config("adm", cfg, members=members)
 
 
 def fqe_config(cfg: RunConfig, reward_transform=None) -> FqeConfig:
-    return FqeConfig(
-        gamma=cfg.fqe_gamma,
-        iterations=cfg.fqe_iterations,
-        steps_per_iteration=cfg.fqe_steps,
-        batch_size=cfg.fqe_batch,
-        learning_rate=cfg.fqe_lr,
-        hidden=cfg.fqe_hidden,
-        reward_transform=reward_transform,
-    )
+    return _library_config("fqe", cfg, reward_transform=reward_transform)
 
 
-def _planner_config_for_checks(cfg: RunConfig) -> PlannerConfig:
-    """`l = auto` is resolved at evaluation time; any positive value stands in."""
-    return planner_config(cfg, 1.0 if cfg.threshold is None else cfg.threshold)
-
-
-# The library config built from each section, whose own checks bound its keys.
-_LIBRARY_CONFIGS = {
+# The library configs built from each section, whose own checks bound its keys.
+# `l = auto` is resolved at evaluation time; any positive value stands in.
+_CHECKED_BUILDS = {
     "adm": lambda cfg: (adm_config(cfg, cfg.k1), adm_config(cfg, cfg.k2)),
     "fqe": fqe_config,
-    "planner": _planner_config_for_checks,
+    "planner": lambda cfg: planner_config(cfg, 1.0 if cfg.threshold is None else cfg.threshold),
 }
 
 
@@ -321,19 +296,19 @@ def _check_library_ranges(cfg: RunConfig) -> None:
     other's default. Each ``[ablate] values`` entry is then set on the
     whole ``[planner]`` config, as ``mopp ablate`` sets it.
     """
-    for section, build in _LIBRARY_CONFIGS.items():
+    for section, build in _CHECKED_BUILDS.items():
         trial = RunConfig()
-        for key, (attr, _) in _SCHEMA[section].items():
+        for key, (attr, _, _) in _SCHEMA[section].items():
             setattr(trial, attr, getattr(cfg, attr))
             try:
                 build(trial)
             except ConfigError as err:
                 raise ConfigError(f"[{section}] {key} = {_format_value(cfg, attr)}: {err}") from None
-    base = _planner_config_for_checks(cfg)
+    base = _CHECKED_BUILDS["planner"](cfg)
     for value in cfg.ablate_values:
         try:
             dataclasses.replace(base, **ablate_axis_field(cfg, value))
-        except (ConfigError, ValueError, OverflowError) as err:  # int() of nan / inf for h
+        except (ConfigError, ValueError) as err:
             raise ConfigError(
                 f"[ablate] values = {_format_value(cfg, 'ablate_values')}: "
                 f"{cfg.ablate_axis} = {value}: {err}"
@@ -358,7 +333,7 @@ def default_config_text() -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (attr, _) in keys.items():
+        for key, (attr, _, _) in keys.items():
             lines.append(f"{key} = {_format_value(cfg, attr)}")
         lines.append("")
     return "\n".join(lines)

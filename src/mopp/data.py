@@ -213,8 +213,11 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as err:
+        raise FormatError(f"{path}: cannot read dataset file ({err.strerror})") from None
     if data[:8] != DATASET_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     if len(data) < 8 + _HEADER.size:

@@ -61,13 +61,17 @@ class Manifest(dict):
 
 def read_manifest(path) -> Manifest:
     entries = Manifest(path)
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text ({err.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     return entries

@@ -33,6 +33,8 @@ class FqeConfig:
             raise ConfigError("iteration counts and batch size must be positive")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if any(n < 1 for n in self.hidden):
+            raise ConfigError(f"layer widths must be positive, got {self.hidden}")
 
 
 class QNetwork:

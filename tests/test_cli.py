@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mopp
-from mopp import adm, cli, data, nn, planner, value
+from mopp import adm, cli, config, data, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
 from mopp.errors import ConfigError, FormatError
 
@@ -368,6 +368,11 @@ def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_
         ("gamma = 0.9", "gamma = 0.9\nlr = nan", "[fqe] lr = nan"),
         ("gamma = 0.9", "gamma = 0.9\nlr = inf", "[fqe] lr = inf"),
         ("axis = sigma_m\nvalues = 0.1,0.5", "axis = sigma_m\nvalues = 0.1,nan", "[ablate] values = 0.1,nan: sigma_m = nan"),
+        ("axis = sigma_m\nvalues = 0.1,0.5", "axis = h\nvalues = 2,2.5", "[ablate] values = 2.0,2.5: h = 2.5"),
+        ("embed = 16", "embed = 0", "[adm] embed = 0"),
+        ("head_hidden = 16,8", "head_hidden = 16,-8", "[adm] head_hidden = 16,-8"),
+        ("head_hidden = 16,8", "head_hidden = 16,8\nactivation = swish", "[adm] activation = swish"),
+        ("hidden = 16,16", "hidden = 0", "[fqe] hidden = 0"),
     ],
 )
 def test_library_range_violation_fails_every_command_before_work(tmp_path, capsys, old, new, key):
@@ -380,6 +385,96 @@ def test_library_range_violation_fails_every_command_before_work(tmp_path, capsy
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+# Every key that sets a library config field, at a value other than the field's default.
+LIBRARY_KEYS = """\
+[adm]
+k1 = 4
+k2 = 5
+steps = 7
+batch = 9
+lr = 0.002
+embed = 11
+head_hidden = 5,4,3
+activation = tanh
+[fqe]
+gamma = 0.5
+iterations = 2
+steps = 6
+batch = 10
+lr = 0.003
+hidden = 7,8,9
+[planner]
+h = 3
+kappa = 1.5
+beta = 0.25
+l = 0.75
+sigma_m = 0.3
+n = 50
+n_min = 7
+m = 4
+k_q = 2
+use_max_q = false
+use_pruning = false
+use_value = false
+"""
+LIBRARY_FIELDS = {
+    "adm": dict(steps=7, batch_size=9, learning_rate=0.002, embed_width=11, head_hidden=(5, 4, 3), activation="tanh"),
+    "fqe": dict(gamma=0.5, iterations=2, steps_per_iteration=6, batch_size=10, learning_rate=0.003, hidden=(7, 8, 9)),
+    "planner": dict(
+        horizon=3, kappa=1.5, beta=0.25, uncertainty_threshold=0.75, sigma_scale=0.3, n_rollouts=50, n_min=7,
+        candidates=4, value_samples=2, use_max_q=False, use_pruning=False, use_value=False,
+    ),
+}
+
+
+def test_every_library_key_sets_the_field_it_names(tmp_path):
+    path = tmp_path / "lib.cfg"
+    path.write_text(LIBRARY_KEYS)
+    cfg = load_config(path)
+    built = {
+        "adm": config.adm_config(cfg, cfg.k1),
+        "fqe": config.fqe_config(cfg),
+        "planner": config.planner_config(cfg, cfg.threshold),
+    }
+    defaults = {"adm": adm.AdmConfig(), "fqe": value.FqeConfig(), "planner": planner.PlannerConfig()}
+    for section, fields in LIBRARY_FIELDS.items():
+        for field, want in fields.items():
+            assert getattr(defaults[section], field) != want, (section, field)
+            assert getattr(built[section], field) == want, (section, field)
+    assert (config.adm_config(cfg, cfg.k1).members, config.adm_config(cfg, cfg.k2).members) == (4, 5)
+    named = {(section, field) for section, keys in config._SCHEMA.items() for _, _, field in keys.values() if field}
+    assert named == {(section, field) for section, fields in LIBRARY_FIELDS.items() for field in fields}
+
+
+def test_default_run_config_builds_the_library_defaults():
+    cfg = RunConfig()
+    assert config.adm_config(cfg, cfg.k1) == config.adm_config(cfg, cfg.k2) == adm.AdmConfig()
+    assert config.fqe_config(cfg) == value.FqeConfig()
+    assert config.planner_config(cfg, planner.PlannerConfig.uncertainty_threshold) == planner.PlannerConfig()
+
+
+@pytest.mark.parametrize("broken", ["config", "manifest", "dataset directory"])
+def test_unreadable_file_names_its_path_without_traceback(pipeline_dir, tmp_path, capsys, broken):
+    out, _ = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cfg_path = copy / "run.cfg"
+    if broken == "config":  # a Latin-1 byte in a comment
+        bad, code, commands = cfg_path, 2, ("gen-data", "train-q", "evaluate", "ablate")
+        cfg_path.write_bytes(cfg_path.read_bytes() + b"# caf\xe9\n")
+    elif broken == "manifest":
+        bad, code, commands = copy / "dynamics" / "manifest.txt", 1, ("evaluate", "ablate")
+        bad.write_bytes(bad.read_bytes() + b"note = \xff\n")
+    else:
+        bad, code, commands = copy / "data_dir", 1, ("train-dynamics", "train-behavior", "train-q", "evaluate", "ablate")
+        bad.mkdir()
+        cfg_path.write_text(TINY_CONFIG.replace("dataset = data.ds", "dataset = data_dir"))
+    for command in commands:
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(copy), "--quiet"]) == code, command
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("v_cap, mode, key", [("0.5", "none", "v_cap"), ("", "velocity_rollout", "mode")])
