@@ -1,7 +1,7 @@
 """Model-based offline planning: learned ensembles, fitted Q, guided MPPI."""
 
 from .adm import AdmConfig, AdmEnsemble, AdmModel, adm_train, load_ensemble, save_ensemble
-from .data import Dataset, generate_dataset, load_dataset, mix, save_dataset
+from .data import Dataset, generate_dataset, load_dataset, save_dataset
 from .envs import make_env, pointmass_constrained_env, pointmass_env, scripted_policy
 from .errors import ConfigError, DataError, FormatError, MoppError, TrainingDiverged
 from .nn import AdamState, DenseNet, forward
@@ -48,7 +48,6 @@ __all__ = [
     "load_ensemble",
     "load_q",
     "make_env",
-    "mix",
     "mppi_update",
     "plan_step",
     "pointmass_constrained_env",

@@ -86,8 +86,6 @@ class AdmModel:
         embed_width: int = EMBED_WIDTH,
         head_hidden=HEAD_HIDDEN,
         activation: str = "relu",
-        sigma_min: float = nn.SIGMA_MIN,
-        sigma_max: float = nn.SIGMA_MAX,
         rng=None,
         nets=None,
     ):
@@ -104,8 +102,6 @@ class AdmModel:
         self.embed_width = int(embed_width)
         self.head_hidden = tuple(int(h) for h in head_hidden)
         self.activation = activation
-        self.sigma_min = float(sigma_min)
-        self.sigma_max = float(sigma_max)
         if nets is None:
             rng = np.random.default_rng(rng)
             sizes = _net_layer_sizes(input_dim, output_dim, embed_width, self.head_hidden)
@@ -162,7 +158,7 @@ class AdmModel:
                 out = np.repeat(out, repeats, axis=0)
             mu = out[:, 0]
             if sigmas is not None:
-                sigmas[:, i] = nn.std_from_raw(out[:, 1], self.sigma_min, self.sigma_max)
+                sigmas[:, i] = nn.std_from_raw(out[:, 1])
             vals[:, i] = mu if eps is None else mu + sigmas[:, i] * eps[:, i]
         return vals, sigmas
 
@@ -251,7 +247,7 @@ def _model_loss_and_grads(model: AdmModel, x_n: np.ndarray, o_n: np.ndarray):
         h_in = np.concatenate([emb, prefix], axis=1) if i else emb
         y, cache = nn.forward_cached(model.heads[i], h_in)
         target = o_n[:, model.ordering[i]][:, None]
-        li, dy = nn.gaussian_loss_and_grad(y, target, model.sigma_min, model.sigma_max)
+        li, dy = nn.gaussian_loss_and_grad(y, target)
         grads, dx = nn.backward(model.heads[i], cache, dy)
         return li, grads, dx[:, : model.embed_width]
 
@@ -347,8 +343,8 @@ def save_ensemble(ensemble: AdmEnsemble, directory) -> None:
         "activation": first.activation,
         "embed_width": first.embed_width,
         "head_hidden": ",".join(str(h) for h in first.head_hidden),
-        "sigma_min": repr(first.sigma_min),
-        "sigma_max": repr(first.sigma_max),
+        "sigma_min": repr(nn.SIGMA_MIN),
+        "sigma_max": repr(nn.SIGMA_MAX),
         "x_mean": format_floats(ensemble.stats.x_mean),
         "x_std": format_floats(ensemble.stats.x_std),
         "o_mean": format_floats(ensemble.stats.o_mean),
@@ -388,7 +384,11 @@ def load_ensemble(directory) -> AdmEnsemble:
     embed_width = entries.parse("embed_width", int)
     head_hidden = tuple(entries.parse("head_hidden", parse_ints))
     activation = entries["activation"]
-    sigma_min, sigma_max = entries.parse("sigma_min", float), entries.parse("sigma_max", float)
+    for key, bound in (("sigma_min", nn.SIGMA_MIN), ("sigma_max", nn.SIGMA_MAX)):
+        if entries.parse(key, float) != bound:
+            raise FormatError(
+                f"{path}: key {key!r} = {entries[key]}, but the std heads are bounded by {bound!r}"
+            )
     # the nets are built from their files, and must have the sizes the manifest describes
     sizes = _net_layer_sizes(input_dim, output_dim, embed_width, head_hidden)
     size_keys = ["input_dim, embed_width", *["embed_width, head_hidden"] * output_dim]
@@ -415,8 +415,6 @@ def load_ensemble(directory) -> AdmEnsemble:
                 embed_width=embed_width,
                 head_hidden=head_hidden,
                 activation=activation,
-                sigma_min=sigma_min,
-                sigma_max=sigma_max,
                 nets=nets,
             )
         except ValueError as err:  # an ordering that is no permutation

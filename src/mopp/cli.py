@@ -19,6 +19,7 @@ from .config import (
     RunConfig,
     ablate_axis_field,
     adm_config,
+    constraint_config,
     default_config_text,
     fqe_config,
     load_config,
@@ -46,6 +47,8 @@ def _resolve(out_dir: str, path: str) -> str:
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed {args.seed}: a seed must be non-negative")
         cfg.seeds = (args.seed,)
         cfg.data_seed = args.seed
         cfg.dynamics_seed = args.seed + 1
@@ -61,21 +64,6 @@ def _make_env(cfg: RunConfig):
 def _require(path: str, hint: str) -> None:
     if not os.path.exists(path):
         raise ConfigError(f"missing artifact {path}; {hint}")
-
-
-def _constraints(cfg: RunConfig) -> planner.ConstraintConfig:
-    """Planning hooks selected by the constraint mode; `train-q` fits Q under the same reward transform."""
-    cap = cfg.v_cap if cfg.v_cap is not None else envs.DEFAULT_V_CAP
-    if cfg.constraint == "height_bonus":
-        reward = envs.height_bonus_reward(alpha=cfg.alpha_r, weight=cfg.constraint_weight)
-        return planner.ConstraintConfig(reward_transform=reward)
-    if cfg.constraint == "velocity_penalty":
-        reward = envs.velocity_penalty_reward(v_cap=cap, alpha=cfg.alpha_c, weight=cfg.constraint_weight)
-        return planner.ConstraintConfig(reward_transform=reward)
-    if cfg.constraint == "velocity_rollout":
-        penalty = envs.velocity_rollout_penalty(v_cap=cap, weight=cfg.constraint_weight)
-        return planner.ConstraintConfig(rollout_penalty=penalty)
-    return planner.ConstraintConfig()
 
 
 def _load_bundle(cfg: RunConfig, out_dir: str):
@@ -206,7 +194,7 @@ def cmd_train_q(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg, args.out)
     t0 = time.perf_counter()
-    q = value.fqe_train(dataset, fqe_config(cfg, _constraints(cfg).reward_transform), seed=cfg.fqe_seed)
+    q = value.fqe_train(dataset, fqe_config(cfg, constraint_config(cfg).reward_transform), seed=cfg.fqe_seed)
     out = _resolve(args.out, cfg.q_dir)
     value.save_q(q, out)
     tag = f" (reward transform: {cfg.constraint})" if cfg.constraint != "none" else ""
@@ -250,7 +238,7 @@ def cmd_evaluate(args) -> int:
     rows = []
     per_seed = {}
     first_episode_diag = None
-    for seed, ep, res in _episodes(cfg, bundle, pcfg, _constraints(cfg)):
+    for seed, ep, res in _episodes(cfg, bundle, pcfg, constraint_config(cfg)):
         if isinstance(res, MoppError):
             rows.append((seed, ep, "", "", "", "failed"))
             print(f"seed {seed} episode {ep} failed: {res}", file=sys.stderr)
@@ -298,7 +286,7 @@ def cmd_ablate(args) -> int:
     )
     bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes)
     base = planner_config(cfg, threshold)
-    constraints = _constraints(cfg)
+    constraints = constraint_config(cfg)
     _info(args, f"ablating {cfg.ablate_axis}: {note}")
 
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]

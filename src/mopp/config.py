@@ -7,9 +7,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
+from . import envs
 from .adm import AdmConfig
 from .errors import ConfigError
-from .planner import PlannerConfig
+from .planner import ConstraintConfig, PlannerConfig
 from .value import FqeConfig
 
 
@@ -22,8 +23,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+def _parse_int_list(text: str, parse=int) -> tuple:
+    return tuple(parse(v) for v in text.split(",") if v.strip() != "")
+
+
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    return seed
 
 
 def _or_auto(parse):
@@ -106,13 +114,13 @@ _SCHEMA = {
         "dynamics_dir": ("dynamics_dir", str, None),
         "behavior_dir": ("behavior_dir", str, None),
         "q_dir": ("q_dir", str, None),
-        "seeds": ("seeds", _parse_int_list, None),
+        "seeds": ("seeds", lambda t: _parse_int_list(t, _parse_seed), None),
         "episodes": ("episodes", int, None),
     },
     "data": {
         "policy": ("data_policy", str, None),
         "episodes": ("data_episodes", int, None),
-        "seed": ("data_seed", int, None),
+        "seed": ("data_seed", _parse_seed, None),
     },
     "adm": {
         "k1": ("k1", int, None),
@@ -123,8 +131,8 @@ _SCHEMA = {
         "embed": ("adm_embed", int, "embed_width"),
         "head_hidden": ("adm_head_hidden", _parse_int_list, "head_hidden"),
         "activation": ("adm_activation", str, "activation"),
-        "dynamics_seed": ("dynamics_seed", int, None),
-        "behavior_seed": ("behavior_seed", int, None),
+        "dynamics_seed": ("dynamics_seed", _parse_seed, None),
+        "behavior_seed": ("behavior_seed", _parse_seed, None),
     },
     "fqe": {
         "gamma": ("fqe_gamma", float, "gamma"),
@@ -133,7 +141,7 @@ _SCHEMA = {
         "batch": ("fqe_batch", int, "batch_size"),
         "lr": ("fqe_lr", float, "learning_rate"),
         "hidden": ("fqe_hidden", _parse_int_list, "hidden"),
-        "seed": ("fqe_seed", int, None),
+        "seed": ("fqe_seed", _parse_seed, None),
     },
     "planner": {
         "h": ("horizon", int, "horizon"),
@@ -161,8 +169,6 @@ _SCHEMA = {
         "variants": ("ablate_variants", lambda t: tuple(v.strip() for v in t.split(",")), None),
     },
 }
-
-CONSTRAINT_MODES = ("none", "height_bonus", "velocity_penalty", "velocity_rollout")
 
 
 def load_config(path) -> RunConfig:
@@ -203,32 +209,32 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.env not in ("pointmass", "pointmass_constrained"):
-        raise ConfigError(f"unknown env {cfg.env!r}")
-    if cfg.data_policy not in ("random", "medium", "expert"):
-        raise ConfigError(f"unknown data policy {cfg.data_policy!r}")
-    if cfg.constraint not in CONSTRAINT_MODES:
-        raise ConfigError(
-            f"unknown constraint mode {cfg.constraint!r}; options: {CONSTRAINT_MODES}"
-        )
-    if cfg.env == "pointmass" and cfg.v_cap is not None:
-        raise ConfigError(
-            "[run] v_cap is set, but env pointmass has no velocity cap; use env pointmass_constrained"
-        )
-    if cfg.env == "pointmass" and cfg.constraint.startswith("velocity_"):
-        raise ConfigError(
-            f"[constraint] mode {cfg.constraint} caps the velocity, but env pointmass has no cap "
-            "and counts no violations; use env pointmass_constrained"
-        )
+    names = (
+        ("run", "env", envs.ENVS),
+        ("data", "policy", envs.POLICIES),
+        ("constraint", "mode", CONSTRAINT_MODES),
+        ("ablate", "axis", ABLATE_AXES),
+    )
+    for section, key, table in names:
+        name = getattr(cfg, _SCHEMA[section][key][0])
+        if name not in table:
+            raise ConfigError(f"[{section}] {key} = {name}: unknown; options: {sorted(table)}")
+    # the env and the hooks, built as the commands build them; what they reject names its key
+    try:
+        envs.make_env(cfg.env, v_cap=cfg.v_cap)
+    except ConfigError as err:
+        raise ConfigError(f"[run] {err}") from None
+    try:
+        constraint_config(cfg)
+    except ConfigError as err:
+        raise ConfigError(f"[constraint] mode = {cfg.constraint} on env {cfg.env}: {err}") from None
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
     if cfg.episodes < 1 or cfg.data_episodes < 1:
         raise ConfigError("episode counts must be positive")
-    if cfg.ablate_axis not in ABLATE_AXES:
-        raise ConfigError(f"unknown ablation axis {cfg.ablate_axis!r}")
     bad = [v for v in cfg.ablate_variants if v not in ABLATE_VARIANTS]
     if bad:
-        raise ConfigError(f"unknown ablation variants {bad}")
+        raise ConfigError(f"[ablate] variants: unknown {bad}; options: {sorted(ABLATE_VARIANTS)}")
     _check_library_ranges(cfg)
     if cfg.use_pruning and cfg.k1 < 2:
         raise ConfigError(f"use_pruning needs k1 >= 2 dynamics members, got k1 = {cfg.k1}")
@@ -275,6 +281,27 @@ def adm_config(cfg: RunConfig, members: int) -> AdmConfig:
 
 def fqe_config(cfg: RunConfig, reward_transform=None) -> FqeConfig:
     return _library_config("fqe", cfg, reward_transform=reward_transform)
+
+
+# [constraint] mode -> the ConstraintConfig hooks it sets, from the config and the env's velocity cap
+CONSTRAINT_MODES = {
+    "none": lambda cfg, cap: {},
+    "height_bonus": lambda cfg, cap: {
+        "reward_transform": envs.height_bonus_reward(alpha=cfg.alpha_r, weight=cfg.constraint_weight)
+    },
+    "velocity_penalty": lambda cfg, cap: {
+        "reward_transform": envs.velocity_penalty_reward(cap, alpha=cfg.alpha_c, weight=cfg.constraint_weight)
+    },
+    "velocity_rollout": lambda cfg, cap: {
+        "rollout_penalty": envs.velocity_rollout_penalty(cap, weight=cfg.constraint_weight)
+    },
+}
+
+
+def constraint_config(cfg: RunConfig) -> ConstraintConfig:
+    """The planning hooks of ``[constraint] mode``; `train-q` fits Q under the same reward transform."""
+    cap = envs.make_env(cfg.env, v_cap=cfg.v_cap).v_cap
+    return ConstraintConfig(**CONSTRAINT_MODES[cfg.constraint](cfg, cap))
 
 
 # The library configs built from each section, whose own checks bound its keys.

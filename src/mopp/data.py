@@ -1,4 +1,4 @@
-"""Offline datasets: episode-aware transition storage, generation, mixing, file I/O."""
+"""Offline datasets: episode-aware transition storage, generation, file I/O."""
 
 from __future__ import annotations
 
@@ -105,55 +105,6 @@ def generate_dataset(env, policy, episodes: int, seed: int = 0) -> Dataset:
     )
 
 
-def mix(datasets, ratios) -> Dataset:
-    """Combine whole episodes from several datasets at the given ratios.
-
-    Keeps the largest episode total compatible with every ratio, apportions
-    counts by largest remainder, and interleaves sources proportionally.
-    """
-    if not datasets or not ratios or len(datasets) != len(ratios):
-        raise DataError("need matching non-empty datasets and ratios")
-    if any(len(d) == 0 for d in datasets):
-        raise DataError("cannot mix an empty dataset")
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if np.any(ratios < 0) or abs(float(ratios.sum()) - 1.0) > 1e-9:
-        raise ValueError("ratios must be non-negative and sum to 1")
-
-    counts = [d.n_episodes for d in datasets]
-    total = min(
-        int(n / r) for n, r in zip(counts, ratios) if r > 0
-    )
-    if total < 1:
-        raise DataError("ratios leave no complete episode to take")
-    exact = ratios * total
-    take = np.floor(exact).astype(int)
-    remainder = exact - take
-    for i in np.argsort(-remainder)[: total - int(take.sum())]:
-        take[i] += 1
-
-    slices = [d.episode_slices() for d in datasets]
-    placed = np.zeros(len(datasets), dtype=int)
-    order = []
-    for _ in range(int(take.sum())):
-        deficit = ratios * (placed.sum() + 1) - placed
-        deficit[placed >= take] = -np.inf
-        src = int(np.argmax(deficit))
-        order.append((src, placed[src]))
-        placed[src] += 1
-
-    cols = ([], [], [], [], [], [])
-    for new_id, (src, ep_idx) in enumerate(order):
-        a, b = slices[src][ep_idx]
-        d = datasets[src]
-        cols[0].append(d.states[a:b])
-        cols[1].append(d.actions[a:b])
-        cols[2].append(d.rewards[a:b])
-        cols[3].append(d.next_states[a:b])
-        cols[4].append(d.dones[a:b])
-        cols[5].append(np.full(b - a, new_id, dtype=np.uint32))
-    return Dataset(*(np.concatenate(c) for c in cols))
-
-
 def _record_dtype(state_dim: int, action_dim: int) -> np.dtype:
     return np.dtype(
         [
@@ -173,8 +124,11 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
 
     The temp file is flushed and synced before ``os.replace``, so ``path``
     always holds a whole file: the old one or the new one. A failure at any
-    point removes the temp file and re-raises.
+    point removes the temp file and re-raises. A directory at ``path`` is a
+    FormatError, raised before the temp file is made.
     """
+    if os.path.isdir(path):
+        raise FormatError(f"{path}: is a directory, so no file can be written there")
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:

@@ -30,8 +30,6 @@ class EnvSpec:
     action_low: np.ndarray
     action_high: np.ndarray
     max_steps: int
-    reward: str
-    constrained: bool = False
 
 
 def _row_dot(u: np.ndarray) -> np.ndarray:
@@ -59,8 +57,6 @@ class PointMassEnv:
             action_low=np.array([-1.0, -1.0], dtype=np.float32),
             action_high=np.array([1.0, 1.0], dtype=np.float32),
             max_steps=max_steps,
-            reward="-||pos - goal||_2 - 0.01 ||a||^2",
-            constrained=v_cap is not None,
         )
         self._state = np.zeros(4)
         self._t = 0
@@ -108,6 +104,7 @@ def pointmass_constrained_env(
     return PointMassEnv(v_cap=v_cap, max_steps=max_steps)
 
 
+# env name -> its factory; an env built with a velocity cap counts violations above it
 ENVS = {
     "pointmass": pointmass_env,
     "pointmass_constrained": pointmass_constrained_env,
@@ -115,17 +112,27 @@ ENVS = {
 
 
 def make_env(name: str, v_cap: Optional[float] = None) -> PointMassEnv:
+    """The env ``name`` of ENVS; ``v_cap`` replaces the default cap of an env that has one."""
     if name not in ENVS:
         raise ValueError(f"unknown environment {name!r}; options: {sorted(ENVS)}")
-    if name == "pointmass_constrained":
-        return pointmass_constrained_env(DEFAULT_V_CAP if v_cap is None else v_cap)
+    env = ENVS[name]()
     if v_cap is not None:
-        raise ConfigError(f"v_cap = {v_cap} given for env {name!r}, which has no velocity cap")
-    return pointmass_env()
+        _require_cap(env.v_cap, f"v_cap = {v_cap} is set, but env {name} has no velocity cap")
+        env.v_cap = v_cap
+    return env
 
 
-# kp is the stated gain for each quality tier; kd damps velocity.
-_POLICY_PARAMS = {
+def _require_cap(v_cap, problem: str) -> None:
+    """Raise a ConfigError stating ``problem`` and naming the capped envs if ``v_cap`` is None."""
+    if v_cap is None:
+        capped = [name for name, make in ENVS.items() if make().v_cap is not None]
+        raise ConfigError(f"{problem}; use env {' or '.join(capped)}")
+
+
+# data policy quality -> (kp, kd, noise std) of its PD law toward the goal, or
+# None for uniform actions; kp is the stated gain of the tier, kd damps velocity
+POLICIES = {
+    "random": None,
     "medium": (0.5, 2.4, 0.3),
     "expert": (1.5, 1.2, 0.05),
 }
@@ -162,15 +169,14 @@ def scripted_policy(quality: str, env: PointMassEnv, seed: int) -> ScriptedPolic
     low = env.spec.action_low.astype(np.float64)
     high = env.spec.action_high.astype(np.float64)
 
-    if quality == "random":
+    if quality not in POLICIES:
+        raise ValueError(f"unknown policy quality {quality!r}; options: {sorted(POLICIES)}")
+    if POLICIES[quality] is None:
         return ScriptedPolicy(
             draw=lambda shape: rng.uniform(low, high, size=(*shape, len(low))),
             act=lambda states, draws: draws,
         )
-
-    if quality not in _POLICY_PARAMS:
-        raise ValueError(f"unknown policy quality {quality!r}")
-    kp, kd, noise = _POLICY_PARAMS[quality]
+    kp, kd, noise = POLICIES[quality]
 
     def act(states, draws):
         s = np.asarray(states)
@@ -182,10 +188,9 @@ def scripted_policy(quality: str, env: PointMassEnv, seed: int) -> ScriptedPolic
 # --- planning-time constraint hooks (state layout: x, y, vx, vy) ---
 
 
-def velocity_penalty_reward(
-    v_cap: float = DEFAULT_V_CAP, alpha: float = 0.5, weight: float = 100.0
-) -> Callable:
+def velocity_penalty_reward(v_cap: float, alpha: float = 0.5, weight: float = 100.0) -> Callable:
     """Reward transform r' = alpha*r + (1-alpha)*weight*min(v_cap - vx, 0)."""
+    _require_cap(v_cap, "the velocity penalty needs a velocity cap")
 
     def transform(states, actions, rewards):
         vx = np.asarray(states)[..., 2]
@@ -195,8 +200,9 @@ def velocity_penalty_reward(
     return transform
 
 
-def velocity_rollout_penalty(v_cap: float = DEFAULT_V_CAP, weight: float = 100.0) -> Callable:
+def velocity_rollout_penalty(v_cap: float, weight: float = 100.0) -> Callable:
     """Uncertainty penalty weight*max(vx - v_cap, 0), added to the pruning signal."""
+    _require_cap(v_cap, "the velocity rollout penalty needs a velocity cap")
 
     def penalty(states, actions):
         vx = np.asarray(states)[..., 2]

@@ -26,6 +26,11 @@ _TAG_ACTS = {v: k for k, v in _ACT_TAGS.items()}
 SIGMA_MIN = 1e-3
 SIGMA_MAX = 5.0
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Floor of a normalization std, so constant columns normalize to finite values.
@@ -185,16 +190,13 @@ def activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1 - t * t
 
 
-def _as_batch(net: DenseNet, x) -> tuple[np.ndarray, bool]:
+def _as_batch(net: DenseNet, x) -> np.ndarray:
     x = np.asarray(x, dtype=net.dtype)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"input shape {x.shape} does not match network input dim {net.input_dim}"
         )
-    return x, single
+    return x
 
 
 def _row_spans(n: int) -> list:
@@ -204,13 +206,13 @@ def _row_spans(n: int) -> list:
 
 
 def forward(net: DenseNet, x) -> np.ndarray:
-    """Evaluate the network on a vector or a batch of row vectors.
+    """Evaluate the network on a batch of row vectors.
 
     Rows go through in the blocks of :func:`_row_spans`, on the worker pool;
     each block has its own activation buffer per layer, and bias and
     activation are applied in place.
     """
-    xb, single = _as_batch(net, x)
+    xb = _as_batch(net, x)
     n, last = xb.shape[0], net.n_layers - 1
     out = np.empty((n, net.output_dim), np.result_type(xb, net.weights[-1]))
 
@@ -225,12 +227,12 @@ def forward(net: DenseNet, x) -> np.ndarray:
                 activate(a, net.activation, out=a)
 
     _pool_map(block, _row_spans(n), _macs([net], FORWARD_BLOCK_ROWS))
-    return out[0] if single else out
+    return out
 
 
 def forward_cached(net: DenseNet, x) -> tuple[np.ndarray, tuple]:
     """Forward pass keeping intermediates needed by :func:`backward`, in the row blocks of :func:`forward`."""
-    xb, _ = _as_batch(net, x)
+    xb = _as_batch(net, x)
     last = net.n_layers - 1
     zs = [np.empty((len(xb), w.shape[1]), np.result_type(xb, w)) for w in net.weights]
     acts = [xb, *(np.empty_like(z) for z in zs[:-1]), zs[-1]]
@@ -277,9 +279,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def std_from_raw(pre, sigma_min: float = SIGMA_MIN, sigma_max: float = SIGMA_MAX):
-    """Smooth positive transform mapping raw head outputs into [sigma_min, sigma_max]."""
-    return sigma_min + (sigma_max - sigma_min) * _sigmoid(np.asarray(pre))
+def std_from_raw(pre):
+    """Smooth positive transform mapping raw head outputs into [SIGMA_MIN, SIGMA_MAX]."""
+    return SIGMA_MIN + (SIGMA_MAX - SIGMA_MIN) * _sigmoid(np.asarray(pre))
 
 
 def mse_loss_and_grad(y: np.ndarray, target: np.ndarray):
@@ -292,12 +294,7 @@ def mse_loss_and_grad(y: np.ndarray, target: np.ndarray):
     return loss, (2.0 / batch) * diff
 
 
-def gaussian_loss_and_grad(
-    y: np.ndarray,
-    target: np.ndarray,
-    sigma_min: float = SIGMA_MIN,
-    sigma_max: float = SIGMA_MAX,
-):
+def gaussian_loss_and_grad(y: np.ndarray, target: np.ndarray):
     """Gaussian NLL where the network output packs [means | raw stds].
 
     ``y`` has 2d columns: the first d are means, the last d pass through
@@ -311,40 +308,30 @@ def gaussian_loss_and_grad(
     batch = y.shape[0]
     mu = y[:, :d]
     s = _sigmoid(y[:, d:])
-    sigma = sigma_min + (sigma_max - sigma_min) * s
+    sigma = SIGMA_MIN + (SIGMA_MAX - SIGMA_MIN) * s
     resid = target - mu
     var = sigma * sigma
     per = np.log(sigma) + resid * resid / (2.0 * var) + 0.5 * LOG_2PI
     loss = float(np.sum(per, dtype=np.float64)) / batch
     d_mu = (mu - target) / var / batch
     d_sigma = (1.0 / sigma - resid * resid / (var * sigma)) / batch
-    d_pre = d_sigma * (sigma_max - sigma_min) * s * (1.0 - s)
+    d_pre = d_sigma * (SIGMA_MAX - SIGMA_MIN) * s * (1.0 - s)
     return loss, np.concatenate([d_mu, d_pre], axis=1)
 
 
 _LOSSES = ("mse", "gaussian_nll")
 
 
-def loss_and_grads(
-    net: DenseNet,
-    x,
-    target,
-    loss: str = "mse",
-    sigma_min: float = SIGMA_MIN,
-    sigma_max: float = SIGMA_MAX,
-):
+def loss_and_grads(net: DenseNet, x, target, loss: str = "mse"):
     """Mean batch loss and its gradients with respect to every parameter."""
     if loss not in _LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
-    xb, _ = _as_batch(net, x)
+    y, cache = forward_cached(net, x)
     target = np.asarray(target, dtype=net.dtype)
-    if target.ndim == 1:
-        target = target[None, :]
-    y, cache = forward_cached(net, xb)
     if loss == "mse":
         value, dy = mse_loss_and_grad(y, target)
     else:
-        value, dy = gaussian_loss_and_grad(y, target, sigma_min, sigma_max)
+        value, dy = gaussian_loss_and_grad(y, target)
     grads, _ = backward(net, cache, dy, input_grad=False)
     return value, grads
 
@@ -352,17 +339,10 @@ def loss_and_grads(
 class AdamState:
     """First/second moment accumulators for an adaptive-moment update."""
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
-            raise ValueError("moment decay rates must lie in (0, 1)")
+    def __init__(self, params, learning_rate=1e-3):
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -385,7 +365,7 @@ def adam_update(params, grads, state: AdamState) -> None:
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError("parameters and optimizer state must be C-contiguous")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
     quads = list(zip(params, grads, state.m, state.v))
@@ -403,7 +383,7 @@ def adam_update(params, grads, state: AdamState) -> None:
             v += (1.0 - b2) * (g * g)
             m_hat = m / corr1
             v_hat = v / corr2
-            p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+            p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     _pool_map(chunk, range(0, starts[-1], ADAM_CHUNK), 256 * ADAM_CHUNK)
 

@@ -66,14 +66,13 @@ class PlannerConfig:
 class ConstraintConfig:
     """Optional planning-time hooks: reward reshaping and pruning penalties.
 
-    All callables are batch-wise: states (n, |S|), actions (n, |A|); the
+    Both callables are batch-wise: states (n, |S|), actions (n, |A|); the
     reward transform also takes rewards (n,). The rollout penalty must be
-    non-negative. ``violation`` is only used for evaluation metrics.
+    non-negative.
     """
 
     reward_transform: Optional[Callable] = None
     rollout_penalty: Optional[Callable] = None
-    violation: Optional[Callable] = None
 
 
 NO_CONSTRAINTS = ConstraintConfig()
@@ -368,8 +367,8 @@ def run_episode(
     """Closed-loop control of ``env``, re-planning every step.
 
     Accumulates the true environment reward; violations are counted with the
-    constraint predicate (falling back to the environment's own) evaluated at
-    each (state, executed action) pair.
+    environment's ``violation`` predicate, evaluated at each (state, executed
+    action) pair.
     """
     if env.spec.state_dim != bundle.dynamics.output_dim - 1:
         raise ConfigError("environment and dynamics model disagree on state dim")
@@ -379,7 +378,6 @@ def run_episode(
         raise ConfigError(
             f"use_pruning needs >= 2 dynamics members to measure disagreement, found {bundle.dynamics.k}"
         )
-    violation = constraints.violation or getattr(env, "violation", None)
     seed_key = _seed_key(seed)
     s = env.reset(seed=[*seed_key, 0])
     plan = initial_plan(config.horizon, env.spec.action_dim)
@@ -391,7 +389,7 @@ def run_episode(
     while not done:
         a, plan, diag = plan_step(s, bundle, config, constraints, plan, (*seed_key, steps))
         diagnostics.append(diag)
-        flags.append(bool(violation(s, a)) if violation is not None else False)
+        flags.append(bool(env.violation(s, a)))
         s, r, done = env.step(a)
         total += r
         steps += 1
@@ -415,10 +413,7 @@ AUTO_CHUNK_ROWS = 2 * nn.FORWARD_BLOCK_ROWS
 
 
 def uncertainty_threshold_from_data(
-    dynamics: AdmEnsemble,
-    dataset: Dataset,
-    percentile: float = AUTO_PERCENTILE,
-    max_samples: int = AUTO_MAX_SAMPLES,
+    dynamics: AdmEnsemble, dataset: Dataset, percentile: float = AUTO_PERCENTILE
 ) -> float:
     """Percentile of the ensemble discrepancy over dataset state-action pairs, at least AUTO_FLOOR.
 
@@ -431,7 +426,7 @@ def uncertainty_threshold_from_data(
     n = len(dataset)
     if n == 0:
         raise ConfigError("cannot calibrate a threshold on an empty dataset")
-    idx = np.arange(n) if n <= max_samples else np.linspace(0, n - 1, max_samples).astype(int)
+    idx = np.arange(n) if n <= AUTO_MAX_SAMPLES else np.linspace(0, n - 1, AUTO_MAX_SAMPLES).astype(int)
     d = np.concatenate([
         adm.disc_from_predictions(adm.dynamics_mode_all(dynamics, dataset.states[rows], dataset.actions[rows]))
         for rows in np.split(idx, range(AUTO_CHUNK_ROWS, len(idx), AUTO_CHUNK_ROWS))

@@ -71,7 +71,7 @@ def adm_gaussian_head(model, x, realized_prefix) -> GaussianParams:
 def head_conditional(model, i, emb, prefix_n):
     """Normalized mean/std of head ``i`` on ``[emb | prefix_n]``, its input concatenated."""
     out = nn.forward(model.heads[i], np.concatenate([emb, prefix_n], axis=1) if i else emb)
-    return out[:, 0], nn.std_from_raw(out[:, 1], model.sigma_min, model.sigma_max)
+    return out[:, 0], nn.std_from_raw(out[:, 1])
 
 
 def propagate_concat(model, x_n, eps=None, repeats=1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mopp
-from mopp import adm, cli, config, data, nn, planner, value
+from mopp import adm, cli, config, data, envs, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
 from mopp.errors import ConfigError, FormatError
 
@@ -309,7 +309,7 @@ def test_manifest_missing_key_names_key_and_file(pipeline_dir, tmp_path, directo
 @pytest.mark.parametrize(
     "edit",
     [
-        "k = two", "k = -1", "activation = swish", "embed_width = 7",
+        "k = two", "k = -1", "activation = swish", "embed_width = 7", "sigma_min = 0.01", "sigma_max = 4.0",
         "input_dim = 9 in q", "x_std = 1.5 in q", "delete q.nn",
         "drop one x_mean", "drop one x_std", "drop one o_mean", "drop one o_std",
     ],
@@ -488,6 +488,70 @@ def test_velocity_constraint_on_uncapped_env_is_config_error(tmp_path, capsys, v
     assert "Traceback" not in err
     cfg_path.write_text(text.format("pointmass_constrained"))
     assert load_config(cfg_path).env == "pointmass_constrained"
+
+
+PIPELINE_COMMANDS = ("gen-data", "train-dynamics", "train-behavior", "train-q", "evaluate", "ablate")
+# what names a negative seed in the error -> (config text, extra CLI arguments)
+NEGATIVE_SEEDS = {
+    "--seed -5": (TINY_CONFIG, ["--seed", "-5"]),
+    "'seeds' in [run]": (TINY_CONFIG.replace("seeds = 0", "seeds = 0,-1"), []),
+    "'seed' in [data]": (TINY_CONFIG.replace("seed = 4", "seed = -1"), []),
+    "'dynamics_seed' in [adm]": (TINY_CONFIG.replace("k1 = 2", "k1 = 2\ndynamics_seed = -2"), []),
+    "'behavior_seed' in [adm]": (TINY_CONFIG.replace("k1 = 2", "k1 = 2\nbehavior_seed = -3"), []),
+    "'seed' in [fqe]": (TINY_CONFIG.replace("hidden = 16,16", "hidden = 16,16\nseed = -4"), []),
+}
+
+
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_negative_seed_fails_before_work(tmp_path, capsys, command):
+    cfg_path = tmp_path / "c.cfg"
+    for needle, (text, extra) in NEGATIVE_SEEDS.items():
+        cfg_path.write_text(text)
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path), "--quiet", *extra]) == 2, needle
+        err = capsys.readouterr().err
+        assert needle in err and "non-negative" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("command, target", [("gen-data", "data.ds"), ("evaluate", "results.csv")])
+def test_directory_at_a_write_target_is_format_error(pipeline_dir, tmp_path, capsys, command, target):
+    out, _ = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns(target))
+    (copy / target).mkdir()
+    assert cli.main([command, "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(copy / target) in err and "directory" in err and "Traceback" not in err
+    assert (copy / target).is_dir() and not list(copy.glob(".*.tmp"))
+
+
+# [section] key -> the table that holds every name it accepts
+NAME_TABLES = {("run", "env"): envs.ENVS, ("data", "policy"): envs.POLICIES, ("constraint", "mode"): config.CONSTRAINT_MODES}
+
+
+@pytest.mark.parametrize(
+    "section, key, name", [(*sk, name) for sk, table in NAME_TABLES.items() for name in (*table, "unknown")]
+)
+def test_every_table_name_builds_and_an_unknown_one_exits_2(tmp_path, capsys, section, key, name):
+    cfg_path = tmp_path / "c.cfg"
+    capped = "[run]\nenv = pointmass_constrained\n" if section == "constraint" else ""  # the velocity modes need a cap
+    cfg_path.write_text(f"{capped}[{section}]\n{key} = {name}\n")
+    if name == "unknown":
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} = unknown" in err and "Traceback" not in err
+        return
+    cfg = load_config(cfg_path)
+    env = envs.make_env(cfg.env, v_cap=cfg.v_cap)
+    assert (env.v_cap is not None) == (cfg.env == "pointmass_constrained")
+    states, actions = np.full((3, 4), 2.0), np.full((3, 2), 0.5)
+    action = envs.scripted_policy(cfg.data_policy, env, seed=0)(states[0])
+    assert action.shape == (2,) and np.all(np.abs(action) <= 1.0)
+    hooks = config.constraint_config(cfg)
+    if hooks.reward_transform is not None:
+        assert hooks.reward_transform(states, actions, np.zeros(3)).shape == (3,)
+    if hooks.rollout_penalty is not None:
+        assert np.all(hooks.rollout_penalty(states, actions) > 0)  # vx = 2 is above the default cap
 
 
 def test_failed_csv_write_keeps_existing_results_and_leaves_no_temp_file(pipeline_dir, monkeypatch):

@@ -229,40 +229,6 @@ def test_stats_idempotent_after_reload(tmp_path):
     np.testing.assert_array_equal(returns, ds.episode_returns())
 
 
-def test_mix_half_half_split():
-    env = envs.pointmass_env(max_steps=10)
-    a = data.generate_dataset(env, envs.scripted_policy("medium", env, 0), episodes=9, seed=0)
-    b = data.generate_dataset(env, envs.scripted_policy("expert", env, 1), episodes=9, seed=1)
-    mixed = data.mix([a, b], [0.5, 0.5])
-    per_source = mixed.n_episodes
-    assert per_source == 18
-    # episode returns partition into the two source pools within one episode
-    returns = mixed.episode_returns()
-    from_a = sum(1 for r in returns if any(abs(r - x) < 1e-6 for x in a.episode_returns()))
-    assert abs(from_a - per_source / 2) <= 1
-
-
-def test_mix_ratio_interleaving_and_ids():
-    env = envs.pointmass_env(max_steps=5)
-    a = data.generate_dataset(env, envs.scripted_policy("medium", env, 0), episodes=8, seed=0)
-    b = data.generate_dataset(env, envs.scripted_policy("expert", env, 1), episodes=2, seed=1)
-    mixed = data.mix([a, b], [0.75, 0.25])
-    assert mixed.n_episodes == 8
-    ids = [mixed.episode_ids[s] for s, _ in mixed.episode_slices()]
-    assert ids == sorted(ids)
-    for start, stop in mixed.episode_slices():
-        np.testing.assert_array_equal(mixed.next_states[start : stop - 1], mixed.states[start + 1 : stop])
-
-
-def test_mix_validation():
-    env = envs.pointmass_env(max_steps=5)
-    a = data.generate_dataset(env, envs.scripted_policy("medium", env, 0), episodes=2, seed=0)
-    with pytest.raises(ValueError):
-        data.mix([a, a], [0.7, 0.7])
-    with pytest.raises(DataError):
-        data.mix([], [])
-
-
 # --- file format ---
 
 

@@ -36,16 +36,16 @@ def test_forward_identity_single_layer():
     net = nn.DenseNet([2, 2], rng=0)
     net.weights[0] = np.eye(2, dtype=np.float32)
     net.biases[0] = np.zeros(2, dtype=np.float32)
-    out = nn.forward(net, np.array([1.5, -2.0]))
-    np.testing.assert_array_equal(out, np.array([1.5, -2.0], dtype=np.float32))
+    out = nn.forward(net, np.array([[1.5, -2.0]]))
+    np.testing.assert_array_equal(out, np.array([[1.5, -2.0]], dtype=np.float32))
 
 
 def test_forward_constant_map():
     net = nn.DenseNet([3, 1], rng=0)
     net.weights[0][:] = 0.0
     net.biases[0][:] = 3.0
-    for x in (np.zeros(3), np.array([5.0, -1.0, 2.0])):
-        np.testing.assert_array_equal(nn.forward(net, x), np.array([3.0], dtype=np.float32))
+    for x in (np.zeros((1, 3)), np.array([[5.0, -1.0, 2.0]])):
+        np.testing.assert_array_equal(nn.forward(net, x), np.array([[3.0]], dtype=np.float32))
 
 
 def test_forward_two_layer_relu_hand_computed():
@@ -55,10 +55,10 @@ def test_forward_two_layer_relu_hand_computed():
     net.biases[0] = np.array([-1.0, 0.5], dtype=np.float32)
     net.weights[1] = np.array([[1.0], [4.0]], dtype=np.float32)
     net.biases[1] = np.array([0.25], dtype=np.float32)
-    x = np.array([1.0])
+    x = np.array([[1.0]])
     hidden = np.maximum(np.array([2.0 * 1 - 1, -3.0 * 1 + 0.5]), 0)  # [1.0, 0.0]
     expected = 1.0 * hidden[0] + 4.0 * hidden[1] + 0.25
-    assert nn.forward(net, x)[0] == pytest.approx(expected)
+    assert nn.forward(net, x)[0, 0] == pytest.approx(expected)
 
 
 def test_forward_batch_matches_rows():
@@ -66,7 +66,7 @@ def test_forward_batch_matches_rows():
     xs = np.random.default_rng(1).normal(size=(6, 3)).astype(np.float32)
     batch = nn.forward(net, xs)
     for i in range(6):
-        np.testing.assert_array_equal(batch[i], nn.forward(net, xs[i]))
+        np.testing.assert_array_equal(batch[i], nn.forward(net, xs[i : i + 1])[0])
 
 
 def test_forward_shape_mismatch_raises():
@@ -77,7 +77,7 @@ def test_forward_shape_mismatch_raises():
 
 def test_forward_deterministic_bitwise():
     net = nn.DenseNet([4, 8, 3], rng=7)
-    x = np.random.default_rng(2).normal(size=4).astype(np.float32)
+    x = np.random.default_rng(2).normal(size=(1, 4)).astype(np.float32)
     a = nn.forward(net, x)
     b = nn.forward(net, x)
     assert a.tobytes() == b.tobytes()
@@ -190,7 +190,7 @@ def test_gaussian_nll_lower_bound(mean, logstd, shift):
 
 def test_std_from_raw_stays_in_bounds():
     pre = np.array([-1e6, -3.0, 0.0, 3.0, 1e6])
-    sigma = nn.std_from_raw(pre, 1e-3, 5.0)
+    sigma = nn.std_from_raw(pre)
     assert np.all(sigma >= 1e-3 - 1e-12)
     assert np.all(sigma <= 5.0 + 1e-12)
     assert np.all(np.diff(sigma) >= 0)
@@ -257,7 +257,7 @@ def test_adam_one_step_matches_hand_rolled_update():
     state = nn.AdamState(net.params(), learning_rate=0.01)
     grads = [np.ones_like(net.weights[0]), np.zeros_like(net.biases[0])]
     nn.adam_update(net.params(), grads, state)
-    expected = 0.01 * 1.0 / (1.0 + state.eps)
+    expected = 0.01 * 1.0 / (1.0 + nn.ADAM_EPS)
     assert 0.5 - float(net.weights[0][0, 0]) == pytest.approx(expected, rel=1e-5)
     assert state.step == 1
 

@@ -601,15 +601,16 @@ def test_planner_config_validation():
 class QuadraticCostEnv:
     """Reward is -||a||^2; state drifts slightly. Done at the step cap."""
 
-    def __init__(self, max_steps=10):
+    def __init__(self, max_steps=10, violation=lambda s, a: False):
         from mopp.envs import EnvSpec
 
         self.spec = EnvSpec(
             state_dim=3, action_dim=2,
             action_low=np.array([-1.0, -1.0], np.float32),
             action_high=np.array([1.0, 1.0], np.float32),
-            max_steps=max_steps, reward="-||a||^2",
+            max_steps=max_steps,
         )
+        self.violation = violation
         self._t = 0
         self._s = np.zeros(3)
 
@@ -647,11 +648,10 @@ def test_run_episode_deterministic():
 
 
 def test_run_episode_counts_violations():
-    env = QuadraticCostEnv(max_steps=5)
+    env = QuadraticCostEnv(max_steps=5, violation=lambda s, a: bool(a[0] > 0.1))
     bundle = toy_bundle(behavior=0.5)
     cfg = PlannerConfig(horizon=1, n_rollouts=3, use_max_q=False, use_value=False, sigma_scale=0.01)
-    constraints = ConstraintConfig(violation=lambda s, a: bool(a[0] > 0.1))
-    result = planner.run_episode(env, bundle, cfg, constraints=constraints, seed=2)
+    result = planner.run_episode(env, bundle, cfg, seed=2)
     assert result.violations == 5
 
 
