@@ -6,14 +6,19 @@ import argparse
 import dataclasses
 import glob
 import hashlib
+import io
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 import time
+import traceback
 
 import numpy as np
 
-from . import adm, data, envs, planner, value
+from . import adm, data, envs, nn, planner, value
 from .config import (
     ABLATE_VARIANTS,
     RunConfig,
@@ -45,6 +50,7 @@ def _resolve(out_dir: str, path: str) -> str:
 
 
 def _load_run_config(args) -> RunConfig:
+    _check_dir_target(args.out, f"--out {args.out}")
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         if args.seed < 0:
@@ -55,6 +61,15 @@ def _load_run_config(args) -> RunConfig:
         cfg.behavior_seed = args.seed + 2
         cfg.fqe_seed = args.seed + 3
     return cfg
+
+
+def _check_dir_target(path: str, what: str) -> None:
+    """Raise a ConfigError, named by ``what``, if ``path`` or its nearest existing ancestor is not a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"{what}: {existing} is not a directory")
 
 
 def _make_env(cfg: RunConfig):
@@ -180,11 +195,13 @@ def _load_dataset(cfg: RunConfig, out_dir: str) -> data.Dataset:
 def cmd_train_adm(args) -> int:
     """Fit the ``args.role`` ensemble: k1 dynamics or k2 behavior members."""
     cfg = _load_run_config(args)
+    key = f"{args.role}_dir"
+    out = _resolve(args.out, getattr(cfg, key))
+    _check_dir_target(out, f"[run] {key} = {getattr(cfg, key)}")
     dataset = _load_dataset(cfg, args.out)
     members = cfg.k1 if args.role == "dynamics" else cfg.k2
     t0 = time.perf_counter()
     ensemble = adm.adm_train(dataset, args.role, adm_config(cfg, members), seed=getattr(cfg, f"{args.role}_seed"))
-    out = _resolve(args.out, getattr(cfg, f"{args.role}_dir"))
     adm.save_ensemble(ensemble, out)
     _info(args, f"trained {members} {args.role} members in {time.perf_counter() - t0:.0f}s -> {out}")
     return 0
@@ -192,10 +209,11 @@ def cmd_train_adm(args) -> int:
 
 def cmd_train_q(args) -> int:
     cfg = _load_run_config(args)
+    out = _resolve(args.out, cfg.q_dir)
+    _check_dir_target(out, f"[run] q_dir = {cfg.q_dir}")
     dataset = _load_dataset(cfg, args.out)
     t0 = time.perf_counter()
     q = value.fqe_train(dataset, fqe_config(cfg, constraint_config(cfg).reward_transform), seed=cfg.fqe_seed)
-    out = _resolve(args.out, cfg.q_dir)
     value.save_q(q, out)
     tag = f" (reward transform: {cfg.constraint})" if cfg.constraint != "none" else ""
     _info(args, f"fitted Q in {time.perf_counter() - t0:.0f}s{tag} -> {out}")
@@ -218,15 +236,104 @@ def _format_row(values) -> str:
     return ",".join(out)
 
 
-def _episodes(cfg: RunConfig, bundle, pcfg, constraints):
-    """Plan the configured seeds x episodes; yields (seed, episode, result, or the MoppError it raised)."""
-    for seed in cfg.seeds:
-        for ep in range(cfg.episodes):
+def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
+    """Plan each (planner config, seed, episode) job; returns, in job order, each result or the MoppError it raised.
+
+    The jobs run on min(nn._workers, len(jobs)) processes. With one, they run
+    here, one after another. Otherwise forked children share the loaded
+    models: child p of P plans jobs p, p + P, ... with nn._workers // P pool
+    workers and pipes each result back as it finishes. Forking is safe
+    because the pool's threads are idle between maps and a forked child
+    drops the pools (see nn). A child that dies ends the command with a
+    MoppError naming the seed and episode it was planning, and every child
+    is reaped on every path, the parent's own exceptions included.
+    """
+
+    def run(job):
+        pcfg, seed, ep = job
+        try:
+            return planner.run_episode(_make_env(cfg), bundle, pcfg, constraints=constraints, seed=(seed, ep))
+        except MoppError as err:
+            return err
+
+    procs = min(nn._workers, len(jobs))
+    if procs < 2:
+        return [run(job) for job in jobs]
+    sys.stdout.flush()  # else a child that flushes writes the parent's buffered output a second time
+    sys.stderr.flush()
+    reads, pids, statuses = [], [], {}
+    try:
+        for p in range(procs):
+            r, w = os.pipe()
+            reads.append(r)
             try:
-                res = planner.run_episode(_make_env(cfg), bundle, pcfg, constraints=constraints, seed=(seed, ep))
-            except MoppError as err:
-                res = err
-            yield seed, ep, res
+                pid = os.fork()
+                if pid == 0:
+                    _episode_child(run, jobs[p::procs], w, nn._workers // procs)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        received = _read_to_end(reads)
+        for pid in pids:
+            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            if pid not in statuses:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    results = [None] * len(jobs)
+    dead = []
+    for p, (pid, blob) in enumerate(zip(pids, received)):
+        stream = io.BytesIO(blob)
+        for i in range(p, len(jobs), procs):
+            try:
+                results[i] = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):  # missing or cut short: the child died planning job i
+                dead.append((i, statuses[pid]))
+                break
+    if dead:
+        i, code = min(dead)
+        _, seed, ep = jobs[i]
+        how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+        raise MoppError(f"seed {seed} episode {ep}: the process planning it {how}")
+    return results
+
+
+def _episode_child(run, jobs, fd: int, workers: int) -> None:
+    """Body of a forked child: pickle ``run(job)`` for each job to ``fd`` as it finishes, then exit without returning."""
+    status = 1
+    try:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C interrupts the parent, which kills its children
+            nn._workers = workers
+            with os.fdopen(fd, "wb") as f:
+                for job in jobs:
+                    pickle.dump(run(job), f, pickle.HIGHEST_PROTOCOL)
+                    f.flush()
+            status = 0
+        except BaseException:  # reported, then the child exits non-zero below; it never unwinds into the parent's code
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _read_to_end(fds) -> list:
+    """Everything written to each of the pipes ``fds`` until every writer has closed it, read as it arrives."""
+    received = {fd: bytearray() for fd in fds}
+    open_fds = list(fds)
+    while open_fds:
+        ready, _, _ = select.select(open_fds, [], [])
+        for fd in ready:
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                received[fd] += chunk
+            else:
+                open_fds.remove(fd)
+    return [bytes(received[fd]) for fd in fds]
 
 
 def cmd_evaluate(args) -> int:
@@ -238,7 +345,8 @@ def cmd_evaluate(args) -> int:
     rows = []
     per_seed = {}
     first_episode_diag = None
-    for seed, ep, res in _episodes(cfg, bundle, pcfg, constraint_config(cfg)):
+    jobs = [(pcfg, seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
+    for (_, seed, ep), res in zip(jobs, _episodes(cfg, bundle, constraint_config(cfg), jobs)):
         if isinstance(res, MoppError):
             rows.append((seed, ep, "", "", "", "failed"))
             print(f"seed {seed} episode {ep} failed: {res}", file=sys.stderr)
@@ -289,26 +397,32 @@ def cmd_ablate(args) -> int:
     constraints = constraint_config(cfg)
     _info(args, f"ablating {cfg.ablate_axis}: {note}")
 
+    cells = [(axis_value, variant) for axis_value in cfg.ablate_values for variant in cfg.ablate_variants]
+    runs = [(seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
+    jobs = []
+    for axis_value, variant in cells:
+        pcfg = dataclasses.replace(base, **ablate_axis_field(cfg, axis_value), **ABLATE_VARIANTS[variant])
+        jobs += [(pcfg, seed, ep) for seed, ep in runs]
+    results = _episodes(cfg, bundle, constraints, jobs)
+
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]
     failed = False
-    for axis_value in cfg.ablate_values:
-        for variant in cfg.ablate_variants:
-            pcfg = dataclasses.replace(base, **ablate_axis_field(cfg, axis_value), **ABLATE_VARIANTS[variant])
-            rets, viols = [], []
-            for _, _, res in _episodes(cfg, bundle, pcfg, constraints):
-                if isinstance(res, MoppError):
-                    failed = True
-                    lines.append(f"{cfg.ablate_axis},{axis_value},{variant},,,")
-                    print(f"cell {axis_value}/{variant} failed: {res}", file=sys.stderr)
-                    break
-                rets.append(res.ret)
-                viols.append(res.violations)
-            else:
-                lines.append(
-                    f"{cfg.ablate_axis},{axis_value},{variant},"
-                    f"{np.mean(rets):.6f},{np.std(rets):.6f},{np.mean(viols):.6f}"
-                )
-                _info(args, f"{cfg.ablate_axis}={axis_value} {variant}: {np.mean(rets):.2f}")
+    for c, (axis_value, variant) in enumerate(cells):
+        rets, viols = [], []
+        for res in results[c * len(runs) : (c + 1) * len(runs)]:
+            if isinstance(res, MoppError):
+                failed = True
+                lines.append(f"{cfg.ablate_axis},{axis_value},{variant},,,")
+                print(f"cell {axis_value}/{variant} failed: {res}", file=sys.stderr)
+                break
+            rets.append(res.ret)
+            viols.append(res.violations)
+        else:
+            lines.append(
+                f"{cfg.ablate_axis},{axis_value},{variant},"
+                f"{np.mean(rets):.6f},{np.std(rets):.6f},{np.mean(viols):.6f}"
+            )
+            _info(args, f"{cfg.ablate_axis}={axis_value} {variant}: {np.mean(rets):.2f}")
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "ablation.csv")
@@ -340,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train-q", parents=[common], help="fit the behavioral Q-function (honors the constraint reward transform)").set_defaults(fn=cmd_train_q)
     sub.add_parser("evaluate", parents=[common], help="run planning episodes and write results.csv").set_defaults(fn=cmd_evaluate)
     sub.add_parser("ablate", parents=[common], help="sweep one axis with component toggles into ablation.csv").set_defaults(fn=cmd_ablate)
-    sub.add_parser("print-config", parents=[common], help="print a config file with every default").set_defaults(fn=cmd_print_config)
+    sub.add_parser("print-config", help="print a config file with every default").set_defaults(fn=cmd_print_config)
     return parser
 
 

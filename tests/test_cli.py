@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import shutil
@@ -8,7 +9,7 @@ import pytest
 import mopp
 from mopp import adm, cli, config, data, envs, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
-from mopp.errors import ConfigError, FormatError
+from mopp.errors import ConfigError, FormatError, MoppError
 
 TINY_CONFIG = """\
 [run]
@@ -719,3 +720,145 @@ def test_no_calibration_when_no_planner_reads_the_threshold(cold_run, monkeypatc
     assert calls == []
     assert not (run / cli.CALIBRATION_FILE).exists()
     assert "no planner prunes by the uncertainty threshold" in capsys.readouterr().out
+
+
+# --- episode processes ---
+
+# Two seeds x two episodes, and four ablate cells: 4 evaluate and 16 ablate jobs.
+PROCESS_CONFIG = TINY_CONFIG.replace("seeds = 0\nepisodes = 1", "seeds = 0,1\nepisodes = 2")
+PROCESS_STEPS = 12
+
+
+@pytest.fixture
+def process_run(cold_run, monkeypatch):
+    """The cold run on PROCESS_CONFIG with episodes cut to PROCESS_STEPS steps; forks are counted in the list returned."""
+    run, base = cold_run
+    (run / "run.cfg").write_text(PROCESS_CONFIG)
+    make_env = envs.make_env
+
+    def short_env(*args, **kwargs):
+        env = make_env(*args, **kwargs)
+        env.spec = dataclasses.replace(env.spec, max_steps=PROCESS_STEPS)
+        return env
+
+    monkeypatch.setattr(envs, "make_env", short_env)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert cli.main(["evaluate", *base, "--quiet"]) == 0  # computes calibration.txt, so every later run reads it
+    forks.clear()
+    return run, base, forks
+
+
+def run_both(run, base, capsys) -> tuple:
+    """Exit codes, CSV bytes, stdout and stderr of ``evaluate`` then ``ablate``."""
+    codes = (cli.main(["evaluate", *base]), cli.main(["ablate", *base]))
+    captured = capsys.readouterr()
+    return codes, [(run / name).read_bytes() for name in CSV_NAMES], captured.out, captured.err
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_episode_processes_write_the_sequential_output(process_run, monkeypatch, capsys, failing):
+    run, base, forks = process_run
+    if failing:  # seed 1 episode 0 fails at sigma_m = 0.5: in evaluate and in both cells of that value
+        real = planner.run_episode
+
+        def flaky(env, bundle, pcfg, constraints, seed):
+            if seed == (1, 0) and pcfg.sigma_scale == 0.5:
+                raise MoppError("synthetic failure")
+            return real(env, bundle, pcfg, constraints=constraints, seed=seed)
+
+        monkeypatch.setattr(planner, "run_episode", flaky)
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(nn, "_workers", workers)
+        out.append(run_both(run, base, capsys))
+        assert len(forks) == (workers == 2) * 4  # two children per command
+        forks.clear()
+    assert out[0] == out[1]
+    codes, csvs, _, err = out[0]
+    assert codes == ((1, 1) if failing else (0, 0))
+    if failing:
+        assert err.count("synthetic failure") == 3 and b",failed\n" in csvs[0] and b"0.5,noP,,,\n" in csvs[2]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_dead_episode_process_exits_1_naming_the_episode(process_run, monkeypatch, capsys, command):
+    run, base, forks = process_run
+    parent, real = os.getpid(), planner.run_episode
+
+    def dying(env, bundle, pcfg, constraints, seed):
+        if seed == (1, 1) and os.getpid() != parent:
+            os._exit(3)
+        return real(env, bundle, pcfg, constraints=constraints, seed=seed)
+
+    monkeypatch.setattr(planner, "run_episode", dying)
+    monkeypatch.setattr(nn, "_workers", 2)
+    assert cli.main([command, *base, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "seed 1 episode 1" in err and "status 3" in err and "Traceback" not in err
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parent_exception_leaves_no_episode_process(process_run, monkeypatch):
+    run, base, forks = process_run
+
+    def interrupted(fds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_read_to_end", interrupted)
+    monkeypatch.setattr(nn, "_workers", 2)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["ablate", *base, "--quiet"])
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers, config", [(2, TINY_CONFIG), (1, PROCESS_CONFIG)])
+def test_one_job_or_one_worker_never_forks(process_run, monkeypatch, workers, config):
+    run, base, _ = process_run
+    (run / "run.cfg").write_text(config)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(nn, "_workers", workers)
+    assert cli.main(["evaluate", *base, "--quiet"]) == 0
+
+
+# --- write targets that are files ---
+
+
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_out_naming_a_file_exits_2_before_work(tmp_path, capsys, command):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(TINY_CONFIG)
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        (tmp_path / "file").write_text("kept")
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and "not a directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, key", [("train-dynamics", "dynamics_dir"), ("train-behavior", "behavior_dir"), ("train-q", "q_dir")])
+def test_checkpoint_dir_naming_a_file_exits_2_before_training(pipeline_dir, tmp_path, monkeypatch, capsys, command, key):
+    out, _ = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    (copy / "run.cfg").write_text(TINY_CONFIG.replace("dataset = data.ds", f"dataset = data.ds\n{key} = taken"))
+    (copy / "taken").write_text("kept")
+    for owner, name in ((adm, "adm_train"), (value, "fqe_train")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("trained"))
+    assert cli.main([command, "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"[run] {key} = taken" in err and "not a directory" in err and "Traceback" not in err
+    assert (copy / "taken").read_text() == "kept"
+
+
+@pytest.mark.parametrize("flags", [["--config", "nonexistent.cfg"], ["--seed", "-5"], ["--out", "x"], ["--quiet"]])
+def test_print_config_rejects_the_pipeline_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["print-config", *flags])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
