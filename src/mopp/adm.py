@@ -19,6 +19,7 @@ from . import nn
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
 from .manifest import (
+    FORMAT,
     format_floats,
     parse_ints,
     read_manifest,
@@ -335,7 +336,7 @@ def save_ensemble(ensemble: AdmEnsemble, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     first = ensemble.members[0]
     entries = {
-        "format": 1,
+        "format": FORMAT,
         "role": ensemble.role,
         "k": ensemble.k,
         "input_dim": ensemble.input_dim,
@@ -371,6 +372,8 @@ def load_ensemble(directory) -> AdmEnsemble:
     if not os.path.exists(path):
         raise FormatError(f"{directory}: missing manifest.txt")
     entries = read_manifest(path)
+    entries.expect("format", (FORMAT,))
+    role = entries.expect("role", ROLES)
     stats = NormStats(
         x_mean=entries.parse_vector("x_mean", "input_dim"),
         x_std=entries.parse_vector("x_std", "input_dim"),
@@ -420,4 +423,4 @@ def load_ensemble(directory) -> AdmEnsemble:
         except ValueError as err:  # an ordering that is no permutation
             raise FormatError(f"{path}: {err}") from None
         members.append(model)
-    return AdmEnsemble(members=members, role=entries["role"], stats=stats)
+    return AdmEnsemble(members=members, role=role, stats=stats)

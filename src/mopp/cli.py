@@ -6,15 +6,12 @@ import argparse
 import dataclasses
 import glob
 import hashlib
-import io
 import math
+import multiprocessing.connection
 import os
-import pickle
-import select
 import signal
 import sys
 import time
-import traceback
 
 import numpy as np
 
@@ -240,13 +237,14 @@ def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
     """Plan each (planner config, seed, episode) job; returns, in job order, each result or the MoppError it raised.
 
     The jobs run on min(nn._workers, len(jobs)) processes. With one, they run
-    here, one after another. Otherwise forked children share the loaded
-    models: child p of P plans jobs p, p + P, ... with nn._workers // P pool
-    workers and pipes each result back as it finishes. Forking is safe
-    because the pool's threads are idle between maps and a forked child
-    drops the pools (see nn). A child that dies ends the command with a
-    MoppError naming the seed and episode it was planning, and every child
-    is reaped on every path, the parent's own exceptions included.
+    here, one after another. Otherwise children of multiprocessing's fork
+    context share the loaded models: child p of P plans jobs p, p + P, ...
+    with nn._workers // P pool workers and sends each result back as it
+    finishes. Forking is safe because the pool's threads are idle between
+    maps and a forked child drops the pools (see nn). A child that dies ends
+    the command with a MoppError naming the seed and episode it was planning,
+    and every child is reaped on every path, the parent's own exceptions
+    included.
     """
 
     def run(job):
@@ -256,84 +254,56 @@ def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
         except MoppError as err:
             return err
 
+    def child(jobs, conn, workers: int) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C interrupts the parent, which kills its children
+        nn._workers = workers
+        for job in jobs:
+            conn.send(run(job))
+
     procs = min(nn._workers, len(jobs))
     if procs < 2:
         return [run(job) for job in jobs]
     sys.stdout.flush()  # else a child that flushes writes the parent's buffered output a second time
     sys.stderr.flush()
-    reads, pids, statuses = [], [], {}
+    fork = multiprocessing.get_context("fork")
+    results, reads, children = [None] * len(jobs), [], []
+    todo = list(range(procs))  # the job each child sends next
     try:
         for p in range(procs):
-            r, w = os.pipe()
+            r, w = fork.Pipe(duplex=False)
             reads.append(r)
+            c = fork.Process(target=child, args=(jobs[p::procs], w, nn._workers // procs))
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _episode_child(run, jobs[p::procs], w, nn._workers // procs)
+                c.start()
             finally:
-                os.close(w)
-            pids.append(pid)
-        received = _read_to_end(reads)
-        for pid in pids:
-            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                w.close()  # so the read end sees EOF once the child exits
+            children.append(c)
+        waiting = list(reads)
+        while waiting:
+            for r in multiprocessing.connection.wait(waiting):
+                p = reads.index(r)
+                try:
+                    results[todo[p]] = r.recv()
+                    todo[p] += procs
+                except (EOFError, OSError):  # all sent, or the child died before or while sending
+                    waiting.remove(r)
+        for c in children:
+            c.join()
     finally:
+        for c in children:
+            if c.exitcode is None:  # still running after an exception here
+                c.kill()
+                c.join()
         for r in reads:
-            os.close(r)
-        for pid in pids:
-            if pid not in statuses:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            r.close()
 
-    results = [None] * len(jobs)
-    dead = []
-    for p, (pid, blob) in enumerate(zip(pids, received)):
-        stream = io.BytesIO(blob)
-        for i in range(p, len(jobs), procs):
-            try:
-                results[i] = pickle.load(stream)
-            except (EOFError, pickle.UnpicklingError):  # missing or cut short: the child died planning job i
-                dead.append((i, statuses[pid]))
-                break
+    dead = [(i, c.exitcode) for i, c in zip(todo, children) if i < len(jobs)]
     if dead:
         i, code = min(dead)
         _, seed, ep = jobs[i]
         how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
         raise MoppError(f"seed {seed} episode {ep}: the process planning it {how}")
     return results
-
-
-def _episode_child(run, jobs, fd: int, workers: int) -> None:
-    """Body of a forked child: pickle ``run(job)`` for each job to ``fd`` as it finishes, then exit without returning."""
-    status = 1
-    try:
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C interrupts the parent, which kills its children
-            nn._workers = workers
-            with os.fdopen(fd, "wb") as f:
-                for job in jobs:
-                    pickle.dump(run(job), f, pickle.HIGHEST_PROTOCOL)
-                    f.flush()
-            status = 0
-        except BaseException:  # reported, then the child exits non-zero below; it never unwinds into the parent's code
-            traceback.print_exc()
-            sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
-def _read_to_end(fds) -> list:
-    """Everything written to each of the pipes ``fds`` until every writer has closed it, read as it arrives."""
-    received = {fd: bytearray() for fd in fds}
-    open_fds = list(fds)
-    while open_fds:
-        ready, _, _ = select.select(open_fds, [], [])
-        for fd in ready:
-            chunk = os.read(fd, 1 << 16)
-            if chunk:
-                received[fd] += chunk
-            else:
-                open_fds.remove(fd)
-    return [bytes(received[fd]) for fd in fds]
 
 
 def cmd_evaluate(args) -> int:

@@ -224,10 +224,6 @@ def validate_config(cfg: RunConfig) -> None:
         envs.make_env(cfg.env, v_cap=cfg.v_cap)
     except ConfigError as err:
         raise ConfigError(f"[run] {err}") from None
-    try:
-        constraint_config(cfg)
-    except ConfigError as err:
-        raise ConfigError(f"[constraint] mode = {cfg.constraint} on env {cfg.env}: {err}") from None
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
     if cfg.episodes < 1 or cfg.data_episodes < 1:
@@ -304,27 +300,29 @@ def constraint_config(cfg: RunConfig) -> ConstraintConfig:
     return ConstraintConfig(**CONSTRAINT_MODES[cfg.constraint](cfg, cap))
 
 
-# The library configs built from each section, whose own checks bound its keys.
+# The library configs and hooks built from each section, whose own checks bound its keys.
 # `l = auto` is resolved at evaluation time; any positive value stands in.
 _CHECKED_BUILDS = {
     "adm": lambda cfg: (adm_config(cfg, cfg.k1), adm_config(cfg, cfg.k2)),
     "fqe": fqe_config,
     "planner": lambda cfg: planner_config(cfg, 1.0 if cfg.threshold is None else cfg.threshold),
+    "constraint": constraint_config,
 }
 
 
 def _check_library_ranges(cfg: RunConfig) -> None:
-    """Build each section's library config; a value it rejects names its ``[section] key``.
+    """Build each section's library config or hooks; a value it rejects names its ``[section] key``.
 
     The section's keys are set one at a time, in schema order, over the
-    defaults, and the config is built after each, so the key named is the
-    first one the library rejects. Of a pair checked together (``n`` and
+    defaults with the config's env and velocity cap (the constraint hooks
+    read the cap), and the section is built after each, so the key named is
+    the first one the library rejects. Of a pair checked together (``n`` and
     ``n_min``) that is the later key, as the earlier one is valid with the
     other's default. Each ``[ablate] values`` entry is then set on the
     whole ``[planner]`` config, as ``mopp ablate`` sets it.
     """
     for section, build in _CHECKED_BUILDS.items():
-        trial = RunConfig()
+        trial = RunConfig(env=cfg.env, v_cap=cfg.v_cap)
         for key, (attr, _, _) in _SCHEMA[section].items():
             setattr(trial, attr, getattr(cfg, attr))
             try:

@@ -180,6 +180,9 @@ def load_dataset(path) -> Dataset:
     if version != DATASET_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 8")
     body = 8 + _HEADER.size
+    # a record (float32 s, a, r and s', u8 done, u32 episode id) must fit numpy's C-int dtype size
+    if 4 * (2 * state_dim + action_dim + 1) + 5 > np.iinfo(np.intc).max:
+        raise FormatError(f"{path}: dimensions {state_dim} and {action_dim} at byte offset 12 are too large")
     dtype = _record_dtype(state_dim, action_dim)
     expected = body + count * dtype.itemsize
     if len(data) != expected:

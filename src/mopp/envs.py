@@ -7,6 +7,7 @@ be checked against exact oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -118,6 +119,7 @@ def make_env(name: str, v_cap: Optional[float] = None) -> PointMassEnv:
     env = ENVS[name]()
     if v_cap is not None:
         _require_cap(env.v_cap, f"v_cap = {v_cap} is set, but env {name} has no velocity cap")
+        _require_positive(v_cap, f"v_cap = {v_cap}: a velocity cap")
         env.v_cap = v_cap
     return env
 
@@ -127,6 +129,17 @@ def _require_cap(v_cap, problem: str) -> None:
     if v_cap is None:
         capped = [name for name, make in ENVS.items() if make().v_cap is not None]
         raise ConfigError(f"{problem}; use env {' or '.join(capped)}")
+    _require_positive(v_cap, "the velocity cap")
+
+
+def _require_positive(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be finite and positive")
+
+
+def _require_fraction(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError("alpha must lie in [0, 1]")
 
 
 # data policy quality -> (kp, kd, noise std) of its PD law toward the goal, or
@@ -191,6 +204,8 @@ def scripted_policy(quality: str, env: PointMassEnv, seed: int) -> ScriptedPolic
 def velocity_penalty_reward(v_cap: float, alpha: float = 0.5, weight: float = 100.0) -> Callable:
     """Reward transform r' = alpha*r + (1-alpha)*weight*min(v_cap - vx, 0)."""
     _require_cap(v_cap, "the velocity penalty needs a velocity cap")
+    _require_fraction(alpha)
+    _require_positive(weight, "the weight")
 
     def transform(states, actions, rewards):
         vx = np.asarray(states)[..., 2]
@@ -203,6 +218,7 @@ def velocity_penalty_reward(v_cap: float, alpha: float = 0.5, weight: float = 10
 def velocity_rollout_penalty(v_cap: float, weight: float = 100.0) -> Callable:
     """Uncertainty penalty weight*max(vx - v_cap, 0), added to the pruning signal."""
     _require_cap(v_cap, "the velocity rollout penalty needs a velocity cap")
+    _require_positive(weight, "the weight")
 
     def penalty(states, actions):
         vx = np.asarray(states)[..., 2]
@@ -213,6 +229,8 @@ def velocity_rollout_penalty(v_cap: float, weight: float = 100.0) -> Callable:
 
 def height_bonus_reward(alpha: float = 0.4, weight: float = 100.0) -> Callable:
     """Objective swap: r' = alpha*r + (1-alpha)*weight*y, rewarding high y-position."""
+    _require_fraction(alpha)
+    _require_positive(weight, "the weight")
 
     def transform(states, actions, rewards):
         y = np.asarray(states)[..., 1]

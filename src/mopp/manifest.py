@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import FormatError
 
+FORMAT = "1"  # the value of key 'format' in the checkpoint manifests this version writes and reads
+
 
 def format_floats(values) -> str:
     """Comma-joined float values; repr round-trips exactly through parse_floats."""
@@ -46,6 +48,12 @@ class Manifest(dict):
             return convert(self[key])
         except ValueError as err:
             raise FormatError(f"{self.path}: bad value for key {key!r}: {err}") from None
+
+    def expect(self, key, allowed) -> str:
+        """``self[key]``; a value not in ``allowed`` raises a FormatError naming the key and the file."""
+        if self[key] not in allowed:
+            raise FormatError(f"{self.path}: key {key!r} = {self[key]}, expected one of {sorted(allowed)}")
+        return self[key]
 
     def parse_vector(self, key, length_key) -> np.ndarray:
         """Float values at ``key``; there must be as many as the integer at ``length_key``."""

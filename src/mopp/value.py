@@ -11,7 +11,7 @@ import numpy as np
 from . import nn
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
-from .manifest import format_floats, read_manifest, write_manifest
+from .manifest import FORMAT, format_floats, read_manifest, write_manifest
 
 Q_HIDDEN = (500, 500)
 
@@ -142,7 +142,7 @@ def save_q(q: QNetwork, directory) -> None:
     write_manifest(
         os.path.join(directory, "manifest.txt"),
         {
-            "format": 1,
+            "format": FORMAT,
             "role": "q",
             "input_dim": q.input_dim,
             "x_mean": format_floats(q.x_mean),
@@ -159,8 +159,8 @@ def load_q(directory) -> QNetwork:
     if not os.path.exists(path):
         raise FormatError(f"{directory}: missing manifest.txt")
     entries = read_manifest(path)
-    if entries.get("role") != "q":
-        raise FormatError(f"{path}: expected role 'q', got {entries.get('role')!r}")
+    entries.expect("format", (FORMAT,))
+    entries.expect("role", ("q",))
     input_dim = entries.parse("input_dim", int)
     net_path = os.path.join(directory, "q.nn")
     net = nn.load_net(net_path)

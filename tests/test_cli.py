@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing.connection
 import os
 import re
 import shutil
@@ -491,6 +492,44 @@ def test_velocity_constraint_on_uncapped_env_is_config_error(tmp_path, capsys, v
     assert load_config(cfg_path).env == "pointmass_constrained"
 
 
+CAPPED = "[run]\nenv = pointmass_constrained\n"
+# a value that would break planning without an error, as the error names it -> the config text
+BAD_CONSTRAINT_VALUES = {
+    "[run] v_cap = nan": CAPPED + "v_cap = nan\n",
+    "[run] v_cap = -1": CAPPED + "v_cap = -1\n",
+    "[constraint] alpha_r = 7": "[constraint]\nmode = height_bonus\nalpha_r = 7\n",
+    "[constraint] alpha_c = -0.5": CAPPED + "[constraint]\nmode = velocity_penalty\nalpha_c = -0.5\n",
+    "[constraint] weight = nan": CAPPED + "[constraint]\nmode = velocity_rollout\nweight = nan\n",
+    "[constraint] weight = -100": "[constraint]\nmode = height_bonus\nweight = -100\n",
+}
+
+
+@pytest.mark.parametrize("needle", BAD_CONSTRAINT_VALUES)
+def test_constraint_value_that_breaks_planning_exits_2(tmp_path, capsys, needle):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(BAD_CONSTRAINT_VALUES[needle])
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: envs.make_env("pointmass_constrained", v_cap=float("inf")),
+        lambda: envs.velocity_rollout_penalty(v_cap=0.0),
+        lambda: envs.velocity_rollout_penalty(v_cap=1.0, weight=float("nan")),
+        lambda: envs.velocity_penalty_reward(v_cap=1.0, alpha=1.5),
+        lambda: envs.height_bonus_reward(alpha=float("nan")),
+        lambda: envs.height_bonus_reward(weight=0.0),
+    ],
+)
+def test_hook_builders_reject_values_that_break_planning(build):
+    with pytest.raises(ConfigError, match="must"):
+        build()
+
+
 PIPELINE_COMMANDS = ("gen-data", "train-dynamics", "train-behavior", "train-q", "evaluate", "ablate")
 # what names a negative seed in the error -> (config text, extra CLI arguments)
 NEGATIVE_SEEDS = {
@@ -781,13 +820,16 @@ def test_episode_processes_write_the_sequential_output(process_run, monkeypatch,
         assert err.count("synthetic failure") == 3 and b",failed\n" in csvs[0] and b"0.5,noP,,,\n" in csvs[2]
 
 
+@pytest.mark.parametrize("death", ["exit 3", "raise"])
 @pytest.mark.parametrize("command", ["evaluate", "ablate"])
-def test_dead_episode_process_exits_1_naming_the_episode(process_run, monkeypatch, capsys, command):
+def test_dead_episode_process_exits_1_naming_the_episode(process_run, monkeypatch, capsys, command, death):
     run, base, forks = process_run
     parent, real = os.getpid(), planner.run_episode
 
     def dying(env, bundle, pcfg, constraints, seed):
         if seed == (1, 1) and os.getpid() != parent:
+            if death == "raise":  # not a MoppError, so it ends the child, which exits with status 1
+                raise RuntimeError("synthetic crash")
             os._exit(3)
         return real(env, bundle, pcfg, constraints=constraints, seed=seed)
 
@@ -795,7 +837,8 @@ def test_dead_episode_process_exits_1_naming_the_episode(process_run, monkeypatc
     monkeypatch.setattr(nn, "_workers", 2)
     assert cli.main([command, *base, "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert "seed 1 episode 1" in err and "status 3" in err and "Traceback" not in err
+    status = "status 1" if death == "raise" else "status 3"
+    assert "seed 1 episode 1" in err and status in err and "Traceback" not in err
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -804,10 +847,10 @@ def test_dead_episode_process_exits_1_naming_the_episode(process_run, monkeypatc
 def test_parent_exception_leaves_no_episode_process(process_run, monkeypatch):
     run, base, forks = process_run
 
-    def interrupted(fds):
+    def interrupted(connections):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_read_to_end", interrupted)
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
     monkeypatch.setattr(nn, "_workers", 2)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["ablate", *base, "--quiet"])
