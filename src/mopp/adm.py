@@ -239,18 +239,19 @@ def _role_arrays(dataset: Dataset, role: str):
 
 
 def _model_loss_and_grads(model: AdmModel, x_n: np.ndarray, o_n: np.ndarray):
-    """Teacher-forced batch NLL (true prefixes fed to every head) and grads."""
+    """Teacher-forced batch NLL and grads; head i reads the prefix view ``buf[:, :E + i]`` of [emb | targets]."""
     emb_lin, emb_cache = nn.forward_cached(model.embed_net, x_n)
-    emb = nn.activate(emb_lin, model.activation)
+    e = model.embed_width
+    buf = np.empty((len(emb_lin), e + model.output_dim), emb_lin.dtype)
+    emb = nn.activate(emb_lin, model.activation, out=buf[:, :e])
+    buf[:, e:] = o_n[:, model.ordering]
 
     def head_pass(i):
-        prefix = o_n[:, model.ordering[:i]]
-        h_in = np.concatenate([emb, prefix], axis=1) if i else emb
-        y, cache = nn.forward_cached(model.heads[i], h_in)
+        y, cache = nn.forward_cached(model.heads[i], buf[:, : e + i])
         target = o_n[:, model.ordering[i]][:, None]
         li, dy = nn.gaussian_loss_and_grad(y, target)
         grads, dx = nn.backward(model.heads[i], cache, dy)
-        return li, grads, dx[:, : model.embed_width]
+        return li, grads, dx[:, :e]
 
     d_emb, loss, head_grads = np.zeros_like(emb), 0.0, []
     macs = 3 * nn._macs(model.heads, len(x_n)) // len(model.heads)  # forward, then two backward products
@@ -258,8 +259,8 @@ def _model_loss_and_grads(model: AdmModel, x_n: np.ndarray, o_n: np.ndarray):
         d_emb += dx_emb
         head_grads.extend(grads)
         loss += li
-    d_emb_lin = d_emb * nn.activate_grad(emb_lin, model.activation)
-    emb_grads, _ = nn.backward(model.embed_net, emb_cache, d_emb_lin, input_grad=False)
+    nn.backprop_activation(d_emb, emb, model.activation)
+    emb_grads, _ = nn.backward(model.embed_net, emb_cache, d_emb, input_grad=False)
     return loss, emb_grads + head_grads
 
 

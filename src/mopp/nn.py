@@ -7,7 +7,6 @@ numerical checks (e.g. finite-difference gradient verification).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -42,10 +41,6 @@ FORWARD_BLOCK_ROWS = 256
 # Least multiply-adds per task for a map to use the pool (about 0.3 ms of sgemm);
 # shorter tasks cost more in thread handoffs than the second core gains.
 POOL_MIN_MACS = 1 << 24
-
-# Elements per pooled Adam task; an element costs about as much as 256 sgemm
-# multiply-adds (3.7-10.5 ns against 0.019 ns on a 2-vCPU x86_64 VM).
-ADAM_CHUNK = 1 << 17
 
 NET_MAGIC = b"MOPPNN1\x00"
 
@@ -183,11 +178,10 @@ def activate(z: np.ndarray, kind: str, out=None) -> np.ndarray:
     return np.tanh(z, out=out)
 
 
-def activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(z.dtype)
-    t = np.tanh(z)
-    return 1 - t * t
+def backprop_activation(delta: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """``delta`` multiplied in place by the activation's derivative, read from its output ``a``."""
+    delta *= a > 0 if kind == "relu" else 1 - a * a
+    return delta
 
 
 def _as_batch(net: DenseNet, x) -> np.ndarray:
@@ -230,23 +224,22 @@ def forward(net: DenseNet, x) -> np.ndarray:
     return out
 
 
-def forward_cached(net: DenseNet, x) -> tuple[np.ndarray, tuple]:
-    """Forward pass keeping intermediates needed by :func:`backward`, in the row blocks of :func:`forward`."""
+def forward_cached(net: DenseNet, x) -> tuple[np.ndarray, list]:
+    """:func:`forward`'s blocked pass, keeping each layer's input (activated in place) for :func:`backward`."""
     xb = _as_batch(net, x)
     last = net.n_layers - 1
-    zs = [np.empty((len(xb), w.shape[1]), np.result_type(xb, w)) for w in net.weights]
-    acts = [xb, *(np.empty_like(z) for z in zs[:-1]), zs[-1]]
+    acts = [xb, *(np.empty((len(xb), w.shape[1]), np.result_type(xb, w)) for w in net.weights)]
 
     def block(lo_hi):
         lo, hi = lo_hi
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = np.matmul(acts[i][lo:hi], w, out=zs[i][lo:hi])
-            z += b
+            a = np.matmul(acts[i][lo:hi], w, out=acts[i + 1][lo:hi])
+            a += b
             if i < last:
-                activate(z, net.activation, out=acts[i + 1][lo:hi])
+                activate(a, net.activation, out=a)
 
     _pool_map(block, _row_spans(len(xb)), _macs([net], FORWARD_BLOCK_ROWS))
-    return zs[-1], (acts, zs)
+    return acts[-1], acts[:-1]
 
 
 def backward(net: DenseNet, cache, d_out: np.ndarray, input_grad: bool = True):
@@ -255,19 +248,18 @@ def backward(net: DenseNet, cache, d_out: np.ndarray, input_grad: bool = True):
     Returns (grads, d_input) where grads aligns with ``net.params()`` and
     d_input is the gradient with respect to the input batch, or None when
     ``input_grad`` is False. A layer's weight and input gradients are two
-    pool tasks.
+    pool tasks. Neither ``d_out`` nor the cache is written.
     """
-    acts, zs = cache
     grads = [None] * (2 * net.n_layers)
     delta = d_out
     d_input = None
     for i in range(net.n_layers - 1, -1, -1):
-        w, a = net.weights[i], acts[i]
+        w, a = net.weights[i], cache[i]
         products = (lambda: a.T @ delta, lambda: delta @ w.T)[: 2 if i or input_grad else 1]
         grads[2 * i], *back = _pool_map(lambda f: f(), products, w.size * len(delta))
         grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
-            delta = back[0] * activate_grad(zs[i - 1], net.activation)
+            delta = backprop_activation(back[0], a, net.activation)
         elif back:
             d_input = back[0]
     return grads, d_input
@@ -349,12 +341,7 @@ class AdamState:
 
 
 def adam_update(params, grads, state: AdamState) -> None:
-    """One adaptive-moment step, updating ``params`` and ``state`` in place.
-
-    The update is elementwise, so it runs on the pool in ADAM_CHUNK-element
-    ranges of the parameters taken end to end; a parameter cut by a range
-    boundary is updated through slices of its flat view.
-    """
+    """One adaptive-moment step, updating ``params`` and ``state`` in place through two scratch arrays."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter / gradient / state length mismatch")
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -368,24 +355,21 @@ def adam_update(params, grads, state: AdamState) -> None:
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
-    quads = list(zip(params, grads, state.m, state.v))
-    starts = [0, *itertools.accumulate(p.size for p in params)]
-
-    def chunk(lo):
-        for arrays, start, end in zip(quads, starts, starts[1:]):
-            a, b = max(lo, start) - start, min(lo + ADAM_CHUNK, end) - start
-            if a >= b:
-                continue
-            p, g, m, v = arrays if b - a == end - start else (x.reshape(-1)[a:b] for x in arrays)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            m_hat = m / corr1
-            v_hat = v / corr2
-            p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-    _pool_map(chunk, range(0, starts[-1], ADAM_CHUNK), 256 * ADAM_CHUNK)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        s1, s2 = np.empty_like(p), np.empty_like(p)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        v *= b2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v += s1
+        np.divide(v, corr2, out=s2)  # v-hat
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        np.divide(m, corr1, out=s1)  # m-hat
+        s1 *= state.learning_rate
+        s1 /= s2
+        p -= s1
 
 
 def save_net(net: DenseNet, path) -> None:

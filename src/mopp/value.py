@@ -168,6 +168,8 @@ def load_q(directory) -> QNetwork:
         raise FormatError(
             f"{path}: key 'input_dim' = {input_dim}, but {net_path} takes {net.input_dim} inputs"
         )
+    if net.activation != "relu":  # fqe_train builds relu nets only
+        raise FormatError(f"{net_path}: holds a {net.activation} net, but a Q net is relu")
     return QNetwork(
         net,
         entries.parse_vector("x_mean", "input_dim"),

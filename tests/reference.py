@@ -5,7 +5,10 @@ the Gaussian conditional of one autoregressive head, its negative log
 density, and the value estimate of one state as the mean Q over K_Q
 behavior samples. ``propagate_concat`` is the autoregressive pass with each
 head's input built by concatenation, the layout the library's shared
-prefix buffer replaces.
+prefix buffer replaces; ``teacher_forced_concat`` is the training loss built
+the same way. ``backward_from_preactivations`` backpropagates through
+activation derivatives taken from each layer's pre-activation, which the
+library's backward pass reads from the activated output instead.
 """
 
 import math
@@ -110,3 +113,50 @@ def v_estimate(q, behavior, s, k_q: int, rng) -> float:
     actions = member.denormalize_o(member.sample_normalized(x_n, eps))
     states = np.broadcast_to(s, (k_q, s.shape[0]))
     return float(q.values(states, actions).mean())
+
+
+def activation_grad(z, kind):
+    """Derivative of the hidden activation at pre-activation ``z``, as a new array."""
+    if kind == "relu":
+        return (z > 0).astype(z.dtype)
+    t = np.tanh(z)
+    return 1 - t * t
+
+
+def backward_from_preactivations(net, x, d_out):
+    """(grads, d_input) of ``net`` at input ``x``: a layer loop keeping each pre-activation.
+
+    Its products equal those of one row block of ``nn.forward_cached`` and
+    ``nn.backward``, so at most 383 rows give the library's bytes.
+    """
+    acts, zs = [np.asarray(x, dtype=net.dtype)], []
+    for w, b in zip(net.weights, net.biases):
+        zs.append(acts[-1] @ w + b)
+        acts.append(nn.activate(zs[-1], net.activation))
+    grads, delta = [None] * (2 * net.n_layers), d_out
+    for i in range(net.n_layers - 1, -1, -1):
+        grads[2 * i], grads[2 * i + 1] = acts[i].T @ delta, delta.sum(axis=0)
+        back = delta @ net.weights[i].T
+        delta = back * activation_grad(zs[i - 1], net.activation) if i else back
+    return grads, delta
+
+
+def teacher_forced_concat(model, x_n, o_n):
+    """Teacher-forced batch NLL and grads, each head's input ``[emb | true prefix]`` concatenated.
+
+    Heads run one after another, and their embedding gradients are summed in head order.
+    """
+    emb_lin, emb_cache = nn.forward_cached(model.embed_net, x_n)
+    emb = nn.activate(emb_lin, model.activation)
+    d_emb, loss, head_grads = np.zeros_like(emb), 0.0, []
+    for i, head in enumerate(model.heads):
+        prefix = o_n[:, model.ordering[:i]]
+        y, cache = nn.forward_cached(head, np.concatenate([emb, prefix], axis=1) if i else emb)
+        li, dy = nn.gaussian_loss_and_grad(y, o_n[:, model.ordering[i]][:, None])
+        grads, dx = nn.backward(head, cache, dy)
+        d_emb += dx[:, : model.embed_width]
+        head_grads.extend(grads)
+        loss += li
+    d_emb_lin = d_emb * activation_grad(emb_lin, model.activation)
+    emb_grads, _ = nn.backward(model.embed_net, emb_cache, d_emb_lin, input_grad=False)
+    return loss, emb_grads + head_grads

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mopp import adm, data, envs, nn, planner
 from mopp.errors import ConfigError, DataError, TrainingDiverged
-from reference import adm_gaussian_head, gaussian_nll, propagate_concat
+from reference import adm_gaussian_head, gaussian_nll, propagate_concat, teacher_forced_concat
 
 
 def toy_dataset(x, o, role="behavior"):
@@ -315,6 +315,25 @@ def test_teacher_forcing_loss_decomposes_into_head_nlls():
             params = adm_gaussian_head(model, x[row], prefix)
             manual += gaussian_nll(params, o[row, model.ordering[i] : model.ordering[i] + 1])
     assert loss == pytest.approx(manual / len(x), rel=1e-5)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prefix_buffer_teacher_forcing_equals_concat_reference(activation, dtype):
+    # heads read prefix views of one [emb | targets] buffer, and the embedding
+    # is activated and backpropagated in place: the same arithmetic as
+    # concatenating each head's input, so loss and grads match byte for byte
+    rng = np.random.default_rng(7)
+    sizes = adm._net_layer_sizes(4, 5, 40, (16, 8))
+    nets = [nn.DenseNet(s, activation, rng=rng, dtype=dtype) for s in sizes]
+    model = adm.AdmModel(4, 5, [3, 1, 4, 0, 2], identity_stats(4, 5), 40, (16, 8), activation, nets=nets)
+    x = rng.normal(size=(600, 4)).astype(dtype)  # two row blocks
+    o = rng.normal(size=(600, 5)).astype(dtype)
+    loss, grads = adm._model_loss_and_grads(model, x, o)
+    want_loss, want_grads = teacher_forced_concat(model, x, o)
+    assert loss == want_loss
+    assert [g.dtype for g in grads] == [dtype] * len(want_grads)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
 
 def test_training_improves_likelihood():

@@ -39,7 +39,8 @@ def load_corrupted(saved, target: str, name: str, offset: int, byte) -> None:
     """Load a copy of ``target`` whose file ``name`` is cut at ``offset``, or has ``byte`` there.
 
     A load may return or raise a FormatError. A manifest that loads must
-    still declare the format and role it was saved with.
+    still declare the format and role it was saved with, and a Q that loads
+    must hold a relu net.
     """
     with tempfile.TemporaryDirectory() as scratch:
         copy = os.path.join(scratch, target)
@@ -55,9 +56,11 @@ def load_corrupted(saved, target: str, name: str, offset: int, byte) -> None:
         with open(path, "wb") as f:
             f.write(blob)
         try:
-            LOADS[target](copy)
+            loaded = LOADS[target](copy)
         except FormatError:
             return
+        if target == "q":
+            assert loaded.net.activation == "relu"
         if name == "manifest.txt":
             got, want = read_manifest(path), read_manifest(saved / target / name)
             assert (got["format"], got["role"]) == (want["format"], want["role"])
@@ -82,5 +85,6 @@ def test_corrupted_ensemble_loads_or_raises_format_error(saved, name, offset, by
 @FUZZ
 @given(name=st.sampled_from(["manifest.txt", "q.nn"]), offset=OFFSETS, byte=BYTES)
 @example(name="manifest.txt", offset=9, byte=ord("9"))  # format = 9
+@example(name="q.nn", offset=24, byte=1)  # the activation tag of the [6, 3, 1] net: tanh
 def test_corrupted_q_loads_or_raises_format_error(saved, name, offset, byte):
     load_corrupted(saved, "q", name, offset, byte)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mopp import nn
 from mopp.errors import FormatError
-from reference import GaussianParams, gaussian_nll
+from reference import GaussianParams, backward_from_preactivations, gaussian_nll
 
 
 def finite_difference_grads(net, x, t, loss, h=1e-5):
@@ -230,6 +230,27 @@ def test_gradients_match_finite_differences(loss, activation):
     fd = finite_difference_grads(net, x, t, loss)
     for g, f in zip(grads, fd):
         assert relative_gap(g, f).max() < 1e-4
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_matches_preactivation_reference_and_writes_no_input(activation, dtype):
+    # the derivative is read from each layer's activated output, in place on
+    # a fresh product: the same bytes as taking it from the pre-activation
+    net = nn.DenseNet([6, 40, 30, 3], activation=activation, rng=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(size=(383, 6)).astype(dtype)
+    d_out = rng.normal(size=(383, 3)).astype(dtype)
+    _, cache = nn.forward_cached(net, x)
+    before = [d_out.copy(), [a.copy() for a in cache]]
+    grads, d_input = nn.backward(net, cache, d_out)
+    assert d_out.tobytes() == before[0].tobytes()
+    assert [a.tobytes() for a in cache] == [a.tobytes() for a in before[1]]
+    want_grads, want_input = backward_from_preactivations(net, x, d_out)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+    assert d_input.tobytes() == want_input.tobytes()
 
 
 def test_loss_and_grads_unknown_loss():

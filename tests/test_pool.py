@@ -6,6 +6,7 @@ The bit-identity oracles set the work threshold to 0, so that every map of
 the small test networks runs on the pool.
 """
 
+import dataclasses
 import os
 import signal
 import sys
@@ -192,8 +193,7 @@ def test_backward_is_bit_identical_on_two_workers(monkeypatch, input_grad):
     assert (one[1] is None) != input_grad
 
 
-def test_adam_update_across_chunk_boundaries_matches_the_whole_array_update(monkeypatch):
-    monkeypatch.setattr(nn, "ADAM_CHUNK", 1000)  # 6 chunks; W0 and W1 each straddle a boundary
+def test_adam_update_matches_the_textbook_update_on_one_and_two_workers(monkeypatch):
     rng = np.random.default_rng(2)
     net = nn.DenseNet([30, 60, 40, 2], rng=3)
     grads = [[rng.standard_normal(p.shape).astype(np.float32) for p in net.params()] for _ in range(3)]
@@ -209,7 +209,7 @@ def test_adam_update_across_chunk_boundaries_matches_the_whole_array_update(monk
     assert as_bytes(one) == as_bytes(two)
     params = [p.copy() for p in net.params()]
     m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
-    for step, g in enumerate(grads, 1):  # the unchunked update, one whole array at a time
+    for step, g in enumerate(grads, 1):  # the textbook update, one whole array at a time
         for p, gi, mi, vi in zip(params, g, m, v):
             mi *= 0.9
             mi += (1.0 - 0.9) * gi
@@ -235,10 +235,12 @@ def small_dataset(episodes, max_steps=200, seed=0):
 TINY_ADM = adm.AdmConfig(members=2, steps=4, batch_size=512, embed_width=32, head_hidden=(16, 8))
 
 
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
 @pytest.mark.parametrize("role", adm.ROLES)
-def test_adm_train_is_bit_identical_on_two_workers(monkeypatch, role):
+def test_adm_train_is_bit_identical_on_two_workers(monkeypatch, role, activation):
     dataset = small_dataset(3)
-    one, two = with_workers(monkeypatch, lambda: adm.adm_train(dataset, role, TINY_ADM, seed=5).members)
+    cfg = dataclasses.replace(TINY_ADM, activation=activation)
+    one, two = with_workers(monkeypatch, lambda: adm.adm_train(dataset, role, cfg, seed=5).members)
     assert as_bytes([m.params() for m in one]) == as_bytes([m.params() for m in two])
 
 

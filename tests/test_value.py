@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mopp import adm, data, nn, planner, value
-from mopp.errors import ConfigError, DataError
+from mopp.errors import ConfigError, DataError, FormatError
 from reference import adm_gaussian_head, v_estimate
 
 
@@ -239,3 +239,10 @@ def test_q_checkpoint_round_trip(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
     probe_s, probe_a = np.eye(5, dtype=np.float32)[:3], np.zeros((3, 1), np.float32)
     np.testing.assert_array_equal(q.values(probe_s, probe_a), loaded.values(probe_s, probe_a))
+
+
+def test_load_q_rejects_a_tanh_net_naming_its_file(tmp_path):
+    net = nn.DenseNet([6, 4, 1], activation="tanh", rng=0)
+    value.save_q(value.QNetwork(net, np.zeros(6), np.ones(6)), tmp_path)
+    with pytest.raises(FormatError, match=r"q\.nn: holds a tanh net"):
+        value.load_q(tmp_path)
