@@ -47,6 +47,8 @@ def _resolve(out_dir: str, path: str) -> str:
 
 
 def _load_run_config(args) -> RunConfig:
+    if not args.out:
+        raise ConfigError("--out is empty; name a directory")
     _check_dir_target(args.out, f"--out {args.out}")
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -169,11 +171,12 @@ def _stored_threshold(path: str, key: str):
 
 def cmd_gen_data(args) -> int:
     cfg = _load_run_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    path = _resolve(args.out, cfg.dataset)
+    _check_dir_target(os.path.dirname(path), f"[run] dataset = {cfg.dataset}")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     env = _make_env(cfg)
     policy = envs.scripted_policy(cfg.data_policy, env, seed=cfg.data_seed + 1)
     dataset = data.generate_dataset(env, policy, cfg.data_episodes, seed=cfg.data_seed)
-    path = _resolve(args.out, cfg.dataset)
     data.save_dataset(dataset, path)
     _info(
         args,

@@ -34,141 +34,84 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _or_auto(parse):
-    """``parse``, with ``auto`` read as None."""
-    return lambda text: None if text.strip().lower() == "auto" else parse(text)
+_LIBRARY_CONFIGS = {"adm": AdmConfig, "fqe": FqeConfig, "planner": PlannerConfig}
 
 
-def _parse_optional_float(text: str):
-    return None if text.strip() == "" else float(text)
+def _key(section: str, key: str, parse, default=dataclasses.MISSING, field=None, none=None):
+    """The RunConfig field that ``[section] key`` sets.
+
+    ``parse`` reads the value and raises ValueError on bad input. ``field``
+    names the field the key sets in the section's library config, whose
+    default the key takes. The word ``none`` reads and prints as None.
+    """
+    if default is dataclasses.MISSING:
+        default = getattr(_LIBRARY_CONFIGS[section], field)
+    meta = {"section": section, "key": key, "parse": parse, "field": field, "none": none}
+    return dataclasses.field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    """Every knob of the pipeline. A knob that sets a library config field defaults to that field's default."""
+    """Every knob of the pipeline, each set by one ``[section] key``."""
 
-    # [run]
-    env: str = "pointmass"
-    v_cap: Optional[float] = None  # constrained-env cap override
-    dataset: str = "dataset.ds"
-    dynamics_dir: str = "dynamics"
-    behavior_dir: str = "behavior"
-    q_dir: str = "q"
-    seeds: tuple = (0, 1, 2, 3, 4)
-    episodes: int = 20
-    # [data]
-    data_policy: str = "medium"
-    data_episodes: int = 100
-    data_seed: int = 0
-    # [adm]
-    k1: int = AdmConfig.members
-    k2: int = AdmConfig.members
-    adm_steps: int = AdmConfig.steps
-    adm_batch: int = AdmConfig.batch_size
-    adm_lr: float = AdmConfig.learning_rate
-    adm_embed: int = AdmConfig.embed_width
-    adm_head_hidden: tuple = AdmConfig.head_hidden
-    adm_activation: str = AdmConfig.activation
-    dynamics_seed: int = 1
-    behavior_seed: int = 2
-    # [fqe]
-    fqe_gamma: float = FqeConfig.gamma
-    fqe_iterations: int = FqeConfig.iterations
-    fqe_steps: int = FqeConfig.steps_per_iteration
-    fqe_batch: int = FqeConfig.batch_size
-    fqe_lr: float = FqeConfig.learning_rate
-    fqe_hidden: tuple = FqeConfig.hidden
-    fqe_seed: int = 3
-    # [planner]
-    horizon: int = PlannerConfig.horizon
-    kappa: float = PlannerConfig.kappa
-    beta: float = PlannerConfig.beta
-    threshold: Optional[float] = None  # None -> percentile rule on the dataset
-    sigma_m: float = PlannerConfig.sigma_scale
-    n_rollouts: int = PlannerConfig.n_rollouts
-    n_min: Optional[int] = PlannerConfig.n_min  # None -> floor(0.2 N)
-    candidates: int = PlannerConfig.candidates
-    k_q: int = PlannerConfig.value_samples
-    use_max_q: bool = PlannerConfig.use_max_q
-    use_pruning: bool = PlannerConfig.use_pruning
-    use_value: bool = PlannerConfig.use_value
-    # [constraint]
-    constraint: str = "none"
-    alpha_r: float = 0.4
-    alpha_c: float = 0.5
-    constraint_weight: float = 100.0
-    # [ablate]
-    ablate_axis: str = "sigma_m"
-    ablate_values: tuple = (0.01, 0.5, 1.0)
-    ablate_variants: tuple = ("full", "noMQ", "noP")
+    env: str = _key("run", "env", str, "pointmass")
+    v_cap: Optional[float] = _key("run", "v_cap", float, None, none="")  # constrained-env cap override
+    dataset: str = _key("run", "dataset", str, "dataset.ds")
+    dynamics_dir: str = _key("run", "dynamics_dir", str, "dynamics")
+    behavior_dir: str = _key("run", "behavior_dir", str, "behavior")
+    q_dir: str = _key("run", "q_dir", str, "q")
+    seeds: tuple = _key("run", "seeds", lambda t: _parse_int_list(t, _parse_seed), (0, 1, 2, 3, 4))
+    episodes: int = _key("run", "episodes", int, 20)
+    data_policy: str = _key("data", "policy", str, "medium")
+    data_episodes: int = _key("data", "episodes", int, 100)
+    data_seed: int = _key("data", "seed", _parse_seed, 0)
+    # k1 and k2 set AdmConfig.members of the dynamics and behavior ensembles
+    k1: int = _key("adm", "k1", int, AdmConfig.members)
+    k2: int = _key("adm", "k2", int, AdmConfig.members)
+    adm_steps: int = _key("adm", "steps", int, field="steps")
+    adm_batch: int = _key("adm", "batch", int, field="batch_size")
+    adm_lr: float = _key("adm", "lr", float, field="learning_rate")
+    adm_embed: int = _key("adm", "embed", int, field="embed_width")
+    adm_head_hidden: tuple = _key("adm", "head_hidden", _parse_int_list, field="head_hidden")
+    adm_activation: str = _key("adm", "activation", str, field="activation")
+    dynamics_seed: int = _key("adm", "dynamics_seed", _parse_seed, 1)
+    behavior_seed: int = _key("adm", "behavior_seed", _parse_seed, 2)
+    fqe_gamma: float = _key("fqe", "gamma", float, field="gamma")
+    fqe_iterations: int = _key("fqe", "iterations", int, field="iterations")
+    fqe_steps: int = _key("fqe", "steps", int, field="steps_per_iteration")
+    fqe_batch: int = _key("fqe", "batch", int, field="batch_size")
+    fqe_lr: float = _key("fqe", "lr", float, field="learning_rate")
+    fqe_hidden: tuple = _key("fqe", "hidden", _parse_int_list, field="hidden")
+    fqe_seed: int = _key("fqe", "seed", _parse_seed, 3)
+    horizon: int = _key("planner", "h", int, field="horizon")
+    kappa: float = _key("planner", "kappa", float, field="kappa")
+    beta: float = _key("planner", "beta", float, field="beta")
+    # None -> percentile rule on the dataset
+    threshold: Optional[float] = _key("planner", "l", float, None, field="uncertainty_threshold", none="auto")
+    sigma_m: float = _key("planner", "sigma_m", float, field="sigma_scale")
+    n_rollouts: int = _key("planner", "n", int, field="n_rollouts")
+    n_min: Optional[int] = _key("planner", "n_min", int, field="n_min", none="auto")  # None -> floor(0.2 N)
+    candidates: int = _key("planner", "m", int, field="candidates")
+    k_q: int = _key("planner", "k_q", int, field="value_samples")
+    use_max_q: bool = _key("planner", "use_max_q", _parse_bool, field="use_max_q")
+    use_pruning: bool = _key("planner", "use_pruning", _parse_bool, field="use_pruning")
+    use_value: bool = _key("planner", "use_value", _parse_bool, field="use_value")
+    constraint: str = _key("constraint", "mode", str, "none")
+    alpha_r: float = _key("constraint", "alpha_r", float, 0.4)
+    alpha_c: float = _key("constraint", "alpha_c", float, 0.5)
+    constraint_weight: float = _key("constraint", "weight", float, 100.0)
+    ablate_axis: str = _key("ablate", "axis", str, "sigma_m")
+    ablate_values: tuple = _key("ablate", "values", lambda t: tuple(float(v) for v in t.split(",")), (0.01, 0.5, 1.0))
+    ablate_variants: tuple = _key(
+        "ablate", "variants", lambda t: tuple(v.strip() for v in t.split(",")), ("full", "noMQ", "noP")
+    )
 
 
-# [section] key -> (RunConfig attribute, parser, the field it sets in the
-# section's library config or None). Parsers raise ValueError on bad input.
-# [adm] k1 and k2 set AdmConfig.members of the dynamics and behavior ensembles.
-_SCHEMA = {
-    "run": {
-        "env": ("env", str, None),
-        "v_cap": ("v_cap", _parse_optional_float, None),
-        "dataset": ("dataset", str, None),
-        "dynamics_dir": ("dynamics_dir", str, None),
-        "behavior_dir": ("behavior_dir", str, None),
-        "q_dir": ("q_dir", str, None),
-        "seeds": ("seeds", lambda t: _parse_int_list(t, _parse_seed), None),
-        "episodes": ("episodes", int, None),
-    },
-    "data": {
-        "policy": ("data_policy", str, None),
-        "episodes": ("data_episodes", int, None),
-        "seed": ("data_seed", _parse_seed, None),
-    },
-    "adm": {
-        "k1": ("k1", int, None),
-        "k2": ("k2", int, None),
-        "steps": ("adm_steps", int, "steps"),
-        "batch": ("adm_batch", int, "batch_size"),
-        "lr": ("adm_lr", float, "learning_rate"),
-        "embed": ("adm_embed", int, "embed_width"),
-        "head_hidden": ("adm_head_hidden", _parse_int_list, "head_hidden"),
-        "activation": ("adm_activation", str, "activation"),
-        "dynamics_seed": ("dynamics_seed", _parse_seed, None),
-        "behavior_seed": ("behavior_seed", _parse_seed, None),
-    },
-    "fqe": {
-        "gamma": ("fqe_gamma", float, "gamma"),
-        "iterations": ("fqe_iterations", int, "iterations"),
-        "steps": ("fqe_steps", int, "steps_per_iteration"),
-        "batch": ("fqe_batch", int, "batch_size"),
-        "lr": ("fqe_lr", float, "learning_rate"),
-        "hidden": ("fqe_hidden", _parse_int_list, "hidden"),
-        "seed": ("fqe_seed", _parse_seed, None),
-    },
-    "planner": {
-        "h": ("horizon", int, "horizon"),
-        "kappa": ("kappa", float, "kappa"),
-        "beta": ("beta", float, "beta"),
-        "l": ("threshold", _or_auto(float), "uncertainty_threshold"),
-        "sigma_m": ("sigma_m", float, "sigma_scale"),
-        "n": ("n_rollouts", int, "n_rollouts"),
-        "n_min": ("n_min", _or_auto(int), "n_min"),
-        "m": ("candidates", int, "candidates"),
-        "k_q": ("k_q", int, "value_samples"),
-        "use_max_q": ("use_max_q", _parse_bool, "use_max_q"),
-        "use_pruning": ("use_pruning", _parse_bool, "use_pruning"),
-        "use_value": ("use_value", _parse_bool, "use_value"),
-    },
-    "constraint": {
-        "mode": ("constraint", str, None),
-        "alpha_r": ("alpha_r", float, None),
-        "alpha_c": ("alpha_c", float, None),
-        "weight": ("constraint_weight", float, None),
-    },
-    "ablate": {
-        "axis": ("ablate_axis", str, None),
-        "values": ("ablate_values", lambda t: tuple(float(v) for v in t.split(",")), None),
-        "variants": ("ablate_variants", lambda t: tuple(v.strip() for v in t.split(",")), None),
-    },
-}
+# [section] -> key -> the RunConfig field it sets, in declaration order
+_SCHEMA = {}
+for _f in dataclasses.fields(RunConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = _f
+del _f
 
 
 def load_config(path) -> RunConfig:
@@ -197,9 +140,10 @@ def load_config(path) -> RunConfig:
                     f"{path}: unknown key {key!r} in [{section}]; "
                     f"known: {sorted(_SCHEMA[section])}"
                 )
-            attr, parse, _ = _SCHEMA[section][key]
+            f = _SCHEMA[section][key]
             try:
-                setattr(cfg, attr, parse(raw))
+                value = None if raw.strip().lower() == f.metadata["none"] else f.metadata["parse"](raw)
+                setattr(cfg, f.name, value)
             except ValueError as err:
                 raise ConfigError(
                     f"{path}: bad value for {key!r} in [{section}]: {err}"
@@ -216,7 +160,7 @@ def validate_config(cfg: RunConfig) -> None:
         ("ablate", "axis", ABLATE_AXES),
     )
     for section, key, table in names:
-        name = getattr(cfg, _SCHEMA[section][key][0])
+        name = getattr(cfg, _SCHEMA[section][key].name)
         if name not in table:
             raise ConfigError(f"[{section}] {key} = {name}: unknown; options: {sorted(table)}")
     # the env and the hooks, built as the commands build them; what they reject names its key
@@ -250,20 +194,17 @@ ABLATE_VARIANTS = {
 def ablate_axis_field(cfg: RunConfig, axis_value: float) -> dict:
     """The PlannerConfig field, as a replace() keyword, that one [ablate] value sets."""
     kind = ABLATE_AXES[cfg.ablate_axis]
-    field = _SCHEMA["planner"][cfg.ablate_axis][2]
+    field = _SCHEMA["planner"][cfg.ablate_axis].metadata["field"]
     if kind is int and not axis_value.is_integer():
         raise ValueError("not a whole number")
     return {field: kind(axis_value)}
 
 
-_LIBRARY_CONFIGS = {"adm": AdmConfig, "fqe": FqeConfig, "planner": PlannerConfig}
-
-
 def _library_config(section: str, cfg: RunConfig, **fields):
     """The library config of ``[section]``: ``fields``, and every other field from the key that sets it."""
-    for attr, _, field in _SCHEMA[section].values():
-        if field is not None:
-            fields.setdefault(field, getattr(cfg, attr))
+    for f in _SCHEMA[section].values():
+        if f.metadata["field"] is not None:
+            fields.setdefault(f.metadata["field"], getattr(cfg, f.name))
     return _LIBRARY_CONFIGS[section](**fields)
 
 
@@ -323,28 +264,28 @@ def _check_library_ranges(cfg: RunConfig) -> None:
     """
     for section, build in _CHECKED_BUILDS.items():
         trial = RunConfig(env=cfg.env, v_cap=cfg.v_cap)
-        for key, (attr, _, _) in _SCHEMA[section].items():
-            setattr(trial, attr, getattr(cfg, attr))
+        for key, f in _SCHEMA[section].items():
+            setattr(trial, f.name, getattr(cfg, f.name))
             try:
                 build(trial)
             except ConfigError as err:
-                raise ConfigError(f"[{section}] {key} = {_format_value(cfg, attr)}: {err}") from None
+                raise ConfigError(f"[{section}] {key} = {_format_value(cfg, f)}: {err}") from None
     base = _CHECKED_BUILDS["planner"](cfg)
     for value in cfg.ablate_values:
         try:
             dataclasses.replace(base, **ablate_axis_field(cfg, value))
         except (ConfigError, ValueError) as err:
             raise ConfigError(
-                f"[ablate] values = {_format_value(cfg, 'ablate_values')}: "
+                f"[ablate] values = {_format_value(cfg, _SCHEMA['ablate']['values'])}: "
                 f"{cfg.ablate_axis} = {value}: {err}"
             ) from None
 
 
-def _format_value(cfg: RunConfig, attr: str) -> str:
-    """The config-file text of ``cfg.attr``."""
-    value = getattr(cfg, attr)
+def _format_value(cfg: RunConfig, f: dataclasses.Field) -> str:
+    """The config-file text of ``cfg``'s value of field ``f``."""
+    value = getattr(cfg, f.name)
     if value is None:
-        return "auto" if attr in ("threshold", "n_min") else ""
+        return f.metadata["none"]
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, bool):
@@ -358,7 +299,7 @@ def default_config_text() -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (attr, _, _) in keys.items():
-            lines.append(f"{key} = {_format_value(cfg, attr)}")
+        for key, f in keys.items():
+            lines.append(f"{key} = {_format_value(cfg, f)}")
         lines.append("")
     return "\n".join(lines)

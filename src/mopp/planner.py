@@ -141,7 +141,7 @@ def _guided_actions(states, members, member_idx, q, config, eps):
             cands[rows] = mu[:, None, :] + sigma[:, None, :] * eps[rows]
 
     nn._pool_map(member_cands, range(len(members)), members[0].macs(n // len(members)))
-    if not config.use_max_q or q is None or m == 1:
+    if not config.use_max_q or m == 1:
         return cands[:, 0, :].astype(np.float32)
     qv = q.values(np.repeat(states, m, axis=0), cands.reshape(n * m, a_dim)).reshape(n, m)
     best = np.argmax(qv, axis=1)
@@ -328,8 +328,12 @@ def plan_step(
     rollouts, the same layout as a tail over every rollout, so a kept
     rollout's bonus does not depend on which others were pruned.
     Diagnostics report the return mean/max over the kept rollouts.
-    Returns (action, updated plan, diagnostics).
+    Returns (action, updated plan, diagnostics). Max-Q selection and the
+    value tail need ``bundle.q``; a ConfigError names the toggle without it.
     """
+    for toggle in ("use_max_q", "use_value"):
+        if getattr(config, toggle) and bundle.q is None:
+            raise ConfigError(f"{toggle} needs a Q network, but the model bundle has none")
     n = config.n_rollouts
     starts = np.broadcast_to(np.asarray(state, dtype=np.float32), (n, len(state)))
     rng = np.random.default_rng(_seed_key(seed))
@@ -342,7 +346,7 @@ def plan_step(
         v_members = rng.integers(bundle.behavior.k, size=n)
         v_eps = rng.standard_normal((n, config.value_samples, bundle.behavior.output_dim))
         rows = keep[alive[keep]]
-        if bundle.q is not None and rows.size:
+        if rows.size:
             returns[rows] += _value_tail(final[rows], bundle.behavior, bundle.q, v_members[rows], v_eps[rows])
     kept_returns = returns[keep]
     new_plan = mppi_update(actions[keep], kept_returns, config.kappa)

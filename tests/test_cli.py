@@ -446,8 +446,14 @@ def test_every_library_key_sets_the_field_it_names(tmp_path):
             assert getattr(defaults[section], field) != want, (section, field)
             assert getattr(built[section], field) == want, (section, field)
     assert (config.adm_config(cfg, cfg.k1).members, config.adm_config(cfg, cfg.k2).members) == (4, 5)
-    named = {(section, field) for section, keys in config._SCHEMA.items() for _, _, field in keys.values() if field}
+    named = {(s, f.metadata["field"]) for s, keys in config._SCHEMA.items() for f in keys.values() if f.metadata["field"]}
     assert named == {(section, field) for section, fields in LIBRARY_FIELDS.items() for field in fields}
+
+
+def test_each_run_config_field_declares_one_section_key_of_its_own():
+    keys = [(f.metadata["section"], f.metadata["key"]) for f in dataclasses.fields(RunConfig)]
+    assert len(set(keys)) == len(keys)
+    assert [(section, key) for section, fields in config._SCHEMA.items() for key in fields] == keys
 
 
 def test_default_run_config_builds_the_library_defaults():
@@ -872,31 +878,49 @@ def test_one_job_or_one_worker_never_forks(process_run, monkeypatch, workers, co
 
 
 @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
-def test_out_naming_a_file_exits_2_before_work(tmp_path, capsys, command):
+def test_out_naming_a_file_exits_2_before_work(tmp_path, monkeypatch, capsys, command):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(TINY_CONFIG)
-    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
+    for out, problem in ((tmp_path / "file", "not a directory"), (tmp_path / "file" / "sub", "not a directory"), ("", "empty")):
         (tmp_path / "file").write_text("kept")
         assert cli.main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert f"--out {out}" in err and "not a directory" in err and "Traceback" not in err
+        assert f"--out {out}" in err and problem in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "file"]
         assert (tmp_path / "file").read_text() == "kept"
 
 
-@pytest.mark.parametrize("command, key", [("train-dynamics", "dynamics_dir"), ("train-behavior", "behavior_dir"), ("train-q", "q_dir")])
-def test_checkpoint_dir_naming_a_file_exits_2_before_training(pipeline_dir, tmp_path, monkeypatch, capsys, command, key):
+@pytest.mark.parametrize(
+    "command, key, path",
+    [
+        ("gen-data", "dataset", "taken/data.ds"),
+        ("gen-data", "dataset", "taken/sub/data.ds"),
+        ("train-dynamics", "dynamics_dir", "taken"),
+        ("train-behavior", "behavior_dir", "taken"),
+        ("train-q", "q_dir", "taken"),
+    ],
+)
+def test_checkpoint_dir_naming_a_file_exits_2_before_training(pipeline_dir, tmp_path, monkeypatch, capsys, command, key, path):
     out, _ = pipeline_dir
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
-    (copy / "run.cfg").write_text(TINY_CONFIG.replace("dataset = data.ds", f"dataset = data.ds\n{key} = taken"))
+    setting = f"{key} = {path}"
+    (copy / "run.cfg").write_text(TINY_CONFIG.replace("dataset = data.ds", setting if key == "dataset" else f"dataset = data.ds\n{setting}"))
     (copy / "taken").write_text("kept")
-    for owner, name in ((adm, "adm_train"), (value, "fqe_train")):
-        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("trained"))
+    for owner, name in ((adm, "adm_train"), (value, "fqe_train"), (data, "generate_dataset")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("worked"))
     assert cli.main([command, "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert f"[run] {key} = taken" in err and "not a directory" in err and "Traceback" not in err
+    assert f"[run] {setting}" in err and "not a directory" in err and "Traceback" not in err
     assert (copy / "taken").read_text() == "kept"
+
+
+def test_gen_data_creates_a_missing_dataset_directory(tmp_path):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace("dataset = data.ds", "dataset = new/sub/data.ds"))
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert data.load_dataset(tmp_path / "out" / "new" / "sub" / "data.ds").n_episodes == 3
 
 
 @pytest.mark.parametrize("flags", [["--config", "nonexistent.cfg"], ["--seed", "-5"], ["--out", "x"], ["--quiet"]])

@@ -663,6 +663,16 @@ def test_run_episode_dimension_mismatch():
         planner.run_episode(env, bundle, cfg, seed=0)
 
 
+@pytest.mark.parametrize("toggles, needs_q", [({}, "use_max_q"), ({"use_max_q": False}, "use_value")])
+def test_planning_without_q_names_the_toggle_that_needs_it(toggles, needs_q):
+    bundle = toy_bundle()
+    cfg = PlannerConfig(horizon=2, n_rollouts=4, sigma_scale=0.3, **toggles)
+    with pytest.raises(ConfigError, match=needs_q):
+        planner.plan_step(np.zeros(3, np.float32), bundle, cfg, NO_C, planner.initial_plan(2, 2), seed=0)
+    with pytest.raises(ConfigError, match=needs_q):
+        planner.run_episode(QuadraticCostEnv(), bundle, cfg, seed=0)
+
+
 def test_uncertainty_threshold_percentiles_ordered():
     rng = np.random.default_rng(0)
     from mopp import data as data_mod
