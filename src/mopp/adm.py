@@ -370,8 +370,6 @@ def ensemble_files(directory, k: int, output_dim: int) -> list:
 
 def load_ensemble(directory) -> AdmEnsemble:
     path = os.path.join(directory, "manifest.txt")
-    if not os.path.exists(path):
-        raise FormatError(f"{directory}: missing manifest.txt")
     entries = read_manifest(path)
     entries.expect("format", (FORMAT,))
     role = entries.expect("role", ROLES)

@@ -59,6 +59,16 @@ def _load_run_config(args) -> RunConfig:
         cfg.dynamics_seed = args.seed + 1
         cfg.behavior_seed = args.seed + 2
         cfg.fqe_seed = args.seed + 3
+    seen = {}  # checkpoint directory -> the [run] key naming it
+    for key in ("dynamics_dir", "behavior_dir", "q_dir"):
+        path = os.path.realpath(_resolve(args.out, getattr(cfg, key)))
+        if path in seen:
+            first = seen[path]
+            raise ConfigError(
+                f"[run] {first} = {getattr(cfg, first)} and {key} = {getattr(cfg, key)} name the same "
+                f"directory {path}; each checkpoint needs its own"
+            )
+        seen[path] = key
     return cfg
 
 
@@ -80,7 +90,8 @@ def _require(path: str, hint: str) -> None:
         raise ConfigError(f"missing artifact {path}; {hint}")
 
 
-def _load_bundle(cfg: RunConfig, out_dir: str):
+def _load_bundle(cfg: RunConfig, out_dir: str, planners: list):
+    """The models that the planner configs ``planners`` read; Q is loaded only if one of them reads it."""
     dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
     beh_dir = _resolve(out_dir, cfg.behavior_dir)
     q_dir = _resolve(out_dir, cfg.q_dir)
@@ -91,34 +102,35 @@ def _load_bundle(cfg: RunConfig, out_dir: str):
     for path, ensemble, role in ((dyn_dir, dynamics, "dynamics"), (beh_dir, behavior, "behavior")):
         if ensemble.role != role:
             raise FormatError(f"{path}: holds the {ensemble.role!r} ensemble, expected {role!r}")
-    if cfg.use_pruning and dynamics.k < 2:
+    if any(p.use_pruning for p in planners) and dynamics.k < 2:
         raise ConfigError(f"{dyn_dir}: use_pruning needs >= 2 dynamics members, found {dynamics.k}")
     q = None
-    if cfg.use_max_q or cfg.use_value:
+    if any(p.use_max_q or p.use_value for p in planners):
         _require(q_dir, "run `mopp train-q` first (or disable use_max_q/use_value)")
         q = value.load_q(q_dir)
     return planner.ModelBundle(dynamics=dynamics, behavior=behavior, q=q)
 
 
-def _load_planner_inputs(cfg: RunConfig, out_dir: str, prunes: bool):
-    """The models and the pruning threshold; returns (bundle, threshold, note on the threshold).
+def _load_planner_inputs(cfg: RunConfig, out_dir: str, prunes: bool, planners):
+    """The models and the planner configs; returns (bundle, planner configs, note on the threshold).
 
-    ``prunes`` says whether a planner of the command prunes by the configured
-    threshold. If none does, the threshold is not computed and ``inf`` stands
-    in, and the dataset is not read.
+    ``planners(threshold)`` builds the planner configs the command runs.
+    ``prunes`` says whether one of them prunes by the configured threshold.
+    If none does, the threshold is not computed and ``inf`` stands in, and
+    the dataset is not read.
     """
     dataset_path = _resolve(out_dir, cfg.dataset)
     calibrate = prunes and cfg.threshold is None
     if calibrate:
         _require(dataset_path, "run `mopp gen-data` first")
-    bundle = _load_bundle(cfg, out_dir)
+    bundle = _load_bundle(cfg, out_dir, planners(math.inf))
     if not prunes:
-        return bundle, math.inf, "no planner prunes by the uncertainty threshold"
+        return bundle, planners(math.inf), "no planner prunes by the uncertainty threshold"
     if not calibrate:
-        return bundle, cfg.threshold, f"uncertainty threshold {cfg.threshold:.6g} from the config"
+        return bundle, planners(cfg.threshold), f"uncertainty threshold {cfg.threshold:.6g} from the config"
     dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
     threshold, how = _calibrated_threshold(out_dir, dataset_path, dyn_dir, bundle.dynamics)
-    return bundle, threshold, f"uncertainty threshold {threshold:.6g} {how}"
+    return bundle, planners(threshold), f"uncertainty threshold {threshold:.6g} {how}"
 
 
 def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamics):
@@ -144,11 +156,7 @@ def _calibration_key(dataset_path: str, checkpoint_files) -> str:
     """SHA-256 over numpy's version and the code, dataset and checkpoint files, each framed by name and size."""
     h = hashlib.sha256(np.__version__.encode())
     for path in (*CALIBRATION_CODE, dataset_path, *checkpoint_files):
-        try:
-            with open(path, "rb") as f:
-                blob = f.read()
-        except OSError as err:
-            raise FormatError(f"{path}: cannot read ({err.strerror})") from None
+        blob = data.read_file(path)
         h.update(f"\n{os.path.basename(path)} {len(blob)}\n".encode())
         h.update(blob)
     return h.hexdigest()
@@ -164,7 +172,7 @@ def _stored_threshold(path: str, key: str):
         if entries["key"] != key:
             return None
         threshold = entries.parse("threshold", float)
-    except (OSError, ValueError, MoppError):
+    except MoppError:
         return None
     return threshold if threshold > 0 else None
 
@@ -311,8 +319,9 @@ def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes=cfg.use_pruning)
-    pcfg = planner_config(cfg, threshold)
+    bundle, (pcfg,), note = _load_planner_inputs(
+        cfg, args.out, cfg.use_pruning, lambda threshold: [planner_config(cfg, threshold)]
+    )
     _info(args, f"evaluating: {note}")
 
     rows = []
@@ -361,22 +370,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
+    cells = [(axis_value, variant) for axis_value in cfg.ablate_values for variant in cfg.ablate_variants]
+
+    def cell_planners(threshold):
+        base = planner_config(cfg, threshold)
+        return [dataclasses.replace(base, **ablate_axis_field(cfg, v), **ABLATE_VARIANTS[name]) for v, name in cells]
+
     # the l axis sets every cell's threshold; otherwise pruning cells read the configured one
-    prunes = cfg.ablate_axis != "l" and any(
-        ABLATE_VARIANTS[v].get("use_pruning", cfg.use_pruning) for v in cfg.ablate_variants
-    )
-    bundle, threshold, note = _load_planner_inputs(cfg, args.out, prunes)
-    base = planner_config(cfg, threshold)
-    constraints = constraint_config(cfg)
+    prunes = cfg.ablate_axis != "l" and any(p.use_pruning for p in cell_planners(math.inf))
+    bundle, pcfgs, note = _load_planner_inputs(cfg, args.out, prunes, cell_planners)
     _info(args, f"ablating {cfg.ablate_axis}: {note}")
 
-    cells = [(axis_value, variant) for axis_value in cfg.ablate_values for variant in cfg.ablate_variants]
     runs = [(seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
-    jobs = []
-    for axis_value, variant in cells:
-        pcfg = dataclasses.replace(base, **ablate_axis_field(cfg, axis_value), **ABLATE_VARIANTS[variant])
-        jobs += [(pcfg, seed, ep) for seed, ep in runs]
-    results = _episodes(cfg, bundle, constraints, jobs)
+    jobs = [(pcfg, seed, ep) for pcfg in pcfgs for seed, ep in runs]
+    results = _episodes(cfg, bundle, constraint_config(cfg), jobs)
 
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]
     failed = False

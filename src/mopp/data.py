@@ -143,6 +143,15 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
+def read_file(path) -> bytes:
+    """The bytes of the file at ``path``; one that cannot be read is a FormatError naming it."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as err:
+        raise FormatError(f"{path}: cannot read ({err.strerror})") from None
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` to ``path`` crash-safe (see :func:`atomic_write`)."""
     rec = np.zeros(len(dataset), dtype=_record_dtype(dataset.state_dim, dataset.action_dim))
@@ -167,11 +176,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as err:
-        raise FormatError(f"{path}: cannot read dataset file ({err.strerror})") from None
+    data = read_file(path)
     if data[:8] != DATASET_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     if len(data) < 8 + _HEADER.size:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
+from .data import read_file
 from .errors import FormatError
 
 FORMAT = "1"  # the value of key 'format' in the checkpoint manifests this version writes and reads
@@ -70,11 +73,10 @@ class Manifest(dict):
 def read_manifest(path) -> Manifest:
     entries = Manifest(path)
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+        text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as err:
         raise FormatError(f"{path}: not UTF-8 text ({err.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):  # the lines open(path, "r") reads
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

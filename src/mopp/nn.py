@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .data import read_file
 from .errors import FormatError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -199,46 +200,40 @@ def _row_spans(n: int) -> list:
     return list(zip(starts, [*starts[1:], n]))
 
 
-def forward(net: DenseNet, x) -> np.ndarray:
-    """Evaluate the network on a batch of row vectors.
+def _forward_blocks(net: DenseNet, xb: np.ndarray, outs: list) -> None:
+    """Run ``xb`` through ``net`` in the row blocks of :func:`_row_spans`, on the worker pool.
 
-    Rows go through in the blocks of :func:`_row_spans`, on the worker pool;
-    each block has its own activation buffer per layer, and bias and
-    activation are applied in place.
+    Layer i writes its rows into ``outs[i]``, or into a buffer of the block's
+    own where ``outs[i]`` is None; bias and activation are applied in place.
     """
-    xb = _as_batch(net, x)
-    n, last = xb.shape[0], net.n_layers - 1
-    out = np.empty((n, net.output_dim), np.result_type(xb, net.weights[-1]))
+    last = net.n_layers - 1
 
     def block(lo_hi):
         lo, hi = lo_hi
         a = xb[lo:hi]
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            buf = out[lo:hi] if i == last else np.empty((hi - lo, w.shape[1]), np.result_type(xb, w))
+        for i, (w, b, out) in enumerate(zip(net.weights, net.biases, outs)):
+            buf = np.empty((hi - lo, w.shape[1]), np.result_type(xb, w)) if out is None else out[lo:hi]
             a = np.matmul(a, w, out=buf)
             a += b
             if i < last:
                 activate(a, net.activation, out=a)
 
-    _pool_map(block, _row_spans(n), _macs([net], FORWARD_BLOCK_ROWS))
+    _pool_map(block, _row_spans(len(xb)), _macs([net], FORWARD_BLOCK_ROWS))
+
+
+def forward(net: DenseNet, x) -> np.ndarray:
+    """Evaluate the network on a batch of row vectors; each row block keeps its hidden layers in scratch."""
+    xb = _as_batch(net, x)
+    out = np.empty((len(xb), net.output_dim), np.result_type(xb, net.weights[-1]))
+    _forward_blocks(net, xb, [None] * (net.n_layers - 1) + [out])
     return out
 
 
 def forward_cached(net: DenseNet, x) -> tuple[np.ndarray, list]:
-    """:func:`forward`'s blocked pass, keeping each layer's input (activated in place) for :func:`backward`."""
+    """:func:`forward`'s pass, keeping each layer's input (activated in place) for :func:`backward`."""
     xb = _as_batch(net, x)
-    last = net.n_layers - 1
     acts = [xb, *(np.empty((len(xb), w.shape[1]), np.result_type(xb, w)) for w in net.weights)]
-
-    def block(lo_hi):
-        lo, hi = lo_hi
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            a = np.matmul(acts[i][lo:hi], w, out=acts[i + 1][lo:hi])
-            a += b
-            if i < last:
-                activate(a, net.activation, out=a)
-
-    _pool_map(block, _row_spans(len(xb)), _macs([net], FORWARD_BLOCK_ROWS))
+    _forward_blocks(net, xb, acts[1:])
     return acts[-1], acts[:-1]
 
 
@@ -386,11 +381,7 @@ def save_net(net: DenseNet, path) -> None:
 
 def load_net(path) -> DenseNet:
     """Read a checkpoint written by :func:`save_net`. Round trip is bit-exact."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as err:
-        raise FormatError(f"{path}: cannot read net file ({err.strerror})") from None
+    data = read_file(path)
     if data[:8] != NET_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     off = 8

@@ -54,6 +54,8 @@ class PlannerConfig:
             raise ConfigError("need at least one rollout")
         if self.candidates < 1 or self.value_samples < 1:
             raise ConfigError("candidate and value-sample counts must be positive")
+        if self.candidates == 1:  # one candidate leaves nothing to select, so no Q is read for it
+            self.use_max_q = False
         if self.n_min is None:
             self.n_min = max(1, int(0.2 * self.n_rollouts))
         if not 1 <= self.n_min <= self.n_rollouts:
@@ -141,7 +143,7 @@ def _guided_actions(states, members, member_idx, q, config, eps):
             cands[rows] = mu[:, None, :] + sigma[:, None, :] * eps[rows]
 
     nn._pool_map(member_cands, range(len(members)), members[0].macs(n // len(members)))
-    if not config.use_max_q or m == 1:
+    if not config.use_max_q:
         return cands[:, 0, :].astype(np.float32)
     qv = q.values(np.repeat(states, m, axis=0), cands.reshape(n * m, a_dim)).reshape(n, m)
     best = np.argmax(qv, axis=1)
@@ -372,12 +374,21 @@ def run_episode(
 
     Accumulates the true environment reward; violations are counted with the
     environment's ``violation`` predicate, evaluated at each (state, executed
-    action) pair.
+    action) pair. Each model's widths must fit the env's, Q's only if the
+    config reads it; a ConfigError names the first that does not.
     """
-    if env.spec.state_dim != bundle.dynamics.output_dim - 1:
-        raise ConfigError("environment and dynamics model disagree on state dim")
-    if env.spec.action_dim != bundle.behavior.output_dim:
-        raise ConfigError("environment and behavior model disagree on action dim")
+    s_dim, a_dim = env.spec.state_dim, env.spec.action_dim
+    widths = [
+        ("dynamics model", "input", bundle.dynamics.input_dim, "|S|+|A|", s_dim + a_dim),
+        ("dynamics model", "output", bundle.dynamics.output_dim, "|S|+1", s_dim + 1),
+        ("behavior model", "input", bundle.behavior.input_dim, "|S|", s_dim),
+        ("behavior model", "output", bundle.behavior.output_dim, "|A|", a_dim),
+    ]
+    if (config.use_max_q or config.use_value) and bundle.q is not None:
+        widths.append(("Q network", "input", bundle.q.input_dim, "|S|+|A|", s_dim + a_dim))
+    for model, side, width, name, want in widths:
+        if width != want:
+            raise ConfigError(f"the {model} has {side} width {width}, but the environment's {name} = {want}")
     if config.use_pruning and bundle.dynamics.k < 2:
         raise ConfigError(
             f"use_pruning needs >= 2 dynamics members to measure disagreement, found {bundle.dynamics.k}"

@@ -156,8 +156,6 @@ def save_q(q: QNetwork, directory) -> None:
 
 def load_q(directory) -> QNetwork:
     path = os.path.join(directory, "manifest.txt")
-    if not os.path.exists(path):
-        raise FormatError(f"{directory}: missing manifest.txt")
     entries = read_manifest(path)
     entries.expect("format", (FORMAT,))
     entries.expect("role", ("q",))
@@ -168,6 +166,8 @@ def load_q(directory) -> QNetwork:
         raise FormatError(
             f"{path}: key 'input_dim' = {input_dim}, but {net_path} takes {net.input_dim} inputs"
         )
+    if net.output_dim != 1:
+        raise FormatError(f"{net_path}: holds a net with {net.output_dim} outputs, but a Q net has 1")
     if net.activation != "relu":  # fqe_train builds relu nets only
         raise FormatError(f"{net_path}: holds a {net.activation} net, but a Q net is relu")
     return QNetwork(

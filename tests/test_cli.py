@@ -278,6 +278,9 @@ def test_pruning_with_one_dynamics_member_is_config_error(pipeline_dir, tmp_path
     assert code == 2
     err = capsys.readouterr().err
     assert "dyn_one" in err and "use_pruning" in err
+    # an ablation whose every cell has pruning off plans on it
+    cfg_path.write_text(one.replace("variants = full,noP", "variants = noP"))
+    assert cli.main(["ablate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
 
 
 def test_swapped_role_directories_are_format_errors(pipeline_dir, tmp_path, capsys):
@@ -463,7 +466,10 @@ def test_default_run_config_builds_the_library_defaults():
     assert config.planner_config(cfg, planner.PlannerConfig.uncertainty_threshold) == planner.PlannerConfig()
 
 
-@pytest.mark.parametrize("broken", ["config", "manifest", "dataset directory"])
+ARTEFACT_DIRECTORIES = ["dynamics/manifest.txt", "q/manifest.txt", "behavior/member_001_head_01.nn"]
+
+
+@pytest.mark.parametrize("broken", ["config", "manifest", "dataset directory", *ARTEFACT_DIRECTORIES])
 def test_unreadable_file_names_its_path_without_traceback(pipeline_dir, tmp_path, capsys, broken):
     out, _ = pipeline_dir
     copy = tmp_path / "run"
@@ -475,6 +481,10 @@ def test_unreadable_file_names_its_path_without_traceback(pipeline_dir, tmp_path
     elif broken == "manifest":
         bad, code, commands = copy / "dynamics" / "manifest.txt", 1, ("evaluate", "ablate")
         bad.write_bytes(bad.read_bytes() + b"note = \xff\n")
+    elif broken in ARTEFACT_DIRECTORIES:  # a directory in the file's place
+        bad, code, commands = copy / broken, 1, ("evaluate", "ablate")
+        bad.unlink()
+        bad.mkdir()
     else:
         bad, code, commands = copy / "data_dir", 1, ("train-dynamics", "train-behavior", "train-q", "evaluate", "ablate")
         bad.mkdir()
@@ -767,6 +777,19 @@ def test_no_calibration_when_no_planner_reads_the_threshold(cold_run, monkeypatc
     assert "no planner prunes by the uncertainty threshold" in capsys.readouterr().out
 
 
+def test_one_candidate_reads_no_q_and_writes_the_csvs_of_max_q_off(pipeline_dir, tmp_path):
+    out, _ = pipeline_dir
+    csvs = []
+    for planner_keys in ("m = 1", "m = 3\nuse_max_q = false"):
+        run = tmp_path / str(len(csvs))
+        shutil.copytree(out, run, ignore=shutil.ignore_patterns("q", "*.csv"))  # no Q to read
+        (run / "run.cfg").write_text(TINY_CONFIG.replace("m = 3", f"{planner_keys}\nuse_value = false"))
+        base = ["--config", str(run / "run.cfg"), "--out", str(run), "--quiet"]
+        assert cli.main(["evaluate", *base]) == 0 and cli.main(["ablate", *base]) == 0
+        csvs.append([(run / name).read_bytes() for name in CSV_NAMES])
+    assert csvs[0] == csvs[1]
+
+
 # --- episode processes ---
 
 # Two seeds x two episodes, and four ablate cells: 4 evaluate and 16 ablate jobs.
@@ -914,6 +937,20 @@ def test_checkpoint_dir_naming_a_file_exits_2_before_training(pipeline_dir, tmp_
     err = capsys.readouterr().err
     assert f"[run] {setting}" in err and "not a directory" in err and "Traceback" not in err
     assert (copy / "taken").read_text() == "kept"
+
+
+@pytest.mark.parametrize("first, second", [("dynamics_dir", "behavior_dir"), ("dynamics_dir", "q_dir"), ("behavior_dir", "q_dir")])
+def test_checkpoint_dirs_naming_one_directory_exit_2_before_work(tmp_path, monkeypatch, capsys, first, second):
+    cfg_path = tmp_path / "c.cfg"
+    # two spellings of one directory under --out
+    cfg_path.write_text(TINY_CONFIG.replace("dataset = data.ds", f"dataset = data.ds\n{first} = models\n{second} = ./models/"))
+    for owner, name in ((adm, "adm_train"), (value, "fqe_train"), (data, "generate_dataset")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: pytest.fail("worked"))
+    for command in PIPELINE_COMMANDS:
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2, command
+        err = capsys.readouterr().err
+        assert f"[run] {first} = models and {second} = ./models/" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_creates_a_missing_dataset_directory(tmp_path):

@@ -35,6 +35,13 @@ def saved(tmp_path_factory):
     return root
 
 
+def test_manifest_lines_split_as_text_mode_open_splits_them(tmp_path):
+    # universal newlines end a line; other Unicode line breaks (form feed, U+2028) do not
+    path = tmp_path / "manifest.txt"
+    path.write_bytes("a = 1\rb = 2\r\nc = x\x0cy\u2028z\n\rd = 4".encode())
+    assert read_manifest(path) == {"a": "1", "b": "2", "c": "x\x0cy\u2028z", "d": "4"}
+
+
 def load_corrupted(saved, target: str, name: str, offset: int, byte) -> None:
     """Load a copy of ``target`` whose file ``name`` is cut at ``offset``, or has ``byte`` there.
 

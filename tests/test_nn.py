@@ -116,6 +116,18 @@ def test_forward_empty_batch():
     assert nn.forward(net, np.zeros((0, 3))).shape == (0, 2)
 
 
+def test_forward_and_forward_cached_do_not_call_each_other_through_the_module(monkeypatch):
+    # a wrapper installed on one of them (a tracer) must not also count the other's calls
+    net = nn.DenseNet([4, 8, 3], rng=0)
+    x = np.random.default_rng(1).normal(size=(300, 4)).astype(np.float32)
+    forward, forward_cached = nn.forward, nn.forward_cached
+    monkeypatch.setattr(nn, "forward", lambda *args: pytest.fail("nn.forward called"))
+    y, _ = forward_cached(net, x)
+    monkeypatch.setattr(nn, "forward", forward)
+    monkeypatch.setattr(nn, "forward_cached", lambda *args: pytest.fail("nn.forward_cached called"))
+    np.testing.assert_array_equal(forward(net, x), y)
+
+
 def test_param_count_formula():
     sizes = [4, 10, 7, 2]
     net = nn.DenseNet(sizes, rng=0)

@@ -595,6 +595,16 @@ def test_planner_config_validation():
     assert PlannerConfig(n_rollouts=3).n_min == 1
 
 
+def test_one_candidate_turns_max_q_selection_off_and_plans_without_q():
+    one = PlannerConfig(horizon=2, n_rollouts=4, sigma_scale=0.3, candidates=1, use_value=False)
+    off = PlannerConfig(horizon=2, n_rollouts=4, sigma_scale=0.3, use_max_q=False, use_value=False)
+    assert one.use_max_q is False
+    state, plan = np.zeros(3, np.float32), planner.initial_plan(2, 2)
+    got = planner.plan_step(state, toy_bundle(), one, NO_C, plan, seed=3)
+    want = planner.plan_step(state, toy_bundle(), off, NO_C, plan, seed=3)
+    np.testing.assert_array_equal(got[1], want[1])
+
+
 # --- run_episode ---
 
 
@@ -661,6 +671,28 @@ def test_run_episode_dimension_mismatch():
     cfg = PlannerConfig(horizon=1, n_rollouts=2, use_max_q=False, use_value=False)
     with pytest.raises(ConfigError):
         planner.run_episode(env, bundle, cfg, seed=0)
+
+
+@pytest.mark.parametrize("model", ["dynamics", "behavior", "q"])
+def test_run_episode_names_a_model_whose_input_width_does_not_fit_the_env(model):
+    bundle = toy_bundle()  # fits QuadraticCostEnv: |S| = 3, |A| = 2
+    if model == "dynamics":
+        members = [fixed_output_model(6, [0.5, 0.1, 0.1, 0.1], rng=j) for j in range(2)]
+        bundle.dynamics = adm.AdmEnsemble(members=members, role="dynamics", stats=members[0].stats)
+        needles = ("dynamics model", "input width 6", "|S|+|A| = 5")
+    elif model == "behavior":
+        member = fixed_output_model(4, [0.25, 0.25])
+        bundle.behavior = adm.AdmEnsemble(members=[member, member], role="behavior", stats=member.stats)
+        needles = ("behavior model", "input width 4", "|S| = 3")
+    else:
+        bundle.q = value.QNetwork(nn.DenseNet([6, 4, 1], rng=0), np.zeros(6), np.ones(6))
+        needles = ("Q network", "input width 6", "|S|+|A| = 5")
+        unread = PlannerConfig(horizon=1, n_rollouts=2, use_max_q=False, use_value=False)
+        assert planner.run_episode(QuadraticCostEnv(max_steps=2), bundle, unread, seed=0).steps == 2
+    cfg = PlannerConfig(horizon=1, n_rollouts=2, candidates=3, use_max_q=model == "q", use_value=False)
+    with pytest.raises(ConfigError) as info:
+        planner.run_episode(QuadraticCostEnv(), bundle, cfg, seed=0)
+    assert all(needle in str(info.value) for needle in needles)
 
 
 @pytest.mark.parametrize("toggles, needs_q", [({}, "use_max_q"), ({"use_max_q": False}, "use_value")])
