@@ -91,7 +91,10 @@ def _require(path: str, hint: str) -> None:
 
 
 def _load_bundle(cfg: RunConfig, out_dir: str, planners: list):
-    """The models that the planner configs ``planners`` read; Q is loaded only if one of them reads it."""
+    """The models that the planner configs ``planners`` read; Q is loaded only if one of them reads it.
+
+    A model that cannot plan one of them on the env is a ConfigError naming its directory.
+    """
     dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
     beh_dir = _resolve(out_dir, cfg.behavior_dir)
     q_dir = _resolve(out_dir, cfg.q_dir)
@@ -102,35 +105,42 @@ def _load_bundle(cfg: RunConfig, out_dir: str, planners: list):
     for path, ensemble, role in ((dyn_dir, dynamics, "dynamics"), (beh_dir, behavior, "behavior")):
         if ensemble.role != role:
             raise FormatError(f"{path}: holds the {ensemble.role!r} ensemble, expected {role!r}")
-    if any(p.use_pruning for p in planners) and dynamics.k < 2:
-        raise ConfigError(f"{dyn_dir}: use_pruning needs >= 2 dynamics members, found {dynamics.k}")
     q = None
     if any(p.use_max_q or p.use_value for p in planners):
         _require(q_dir, "run `mopp train-q` first (or disable use_max_q/use_value)")
         q = value.load_q(q_dir)
-    return planner.ModelBundle(dynamics=dynamics, behavior=behavior, q=q)
+    bundle = planner.ModelBundle(dynamics=dynamics, behavior=behavior, q=q)
+    sources = {"dynamics": dyn_dir, "behavior": beh_dir, "q": q_dir}
+    for p in planners:
+        planner.check_models(bundle, p, _make_env(cfg).spec, sources=sources)
+    return bundle
 
 
-def _load_planner_inputs(cfg: RunConfig, out_dir: str, prunes: bool, planners):
+def _load_planner_inputs(cfg: RunConfig, out_dir: str, fields: list):
     """The models and the planner configs; returns (bundle, planner configs, note on the threshold).
 
-    ``planners(threshold)`` builds the planner configs the command runs.
-    ``prunes`` says whether one of them prunes by the configured threshold.
-    If none does, the threshold is not computed and ``inf`` stands in, and
-    the dataset is not read.
+    Each dict of ``fields`` holds the PlannerConfig fields that one planner
+    config sets over the config file's. A config reads the configured
+    threshold iff it prunes and sets no ``uncertainty_threshold``. If none
+    does, the threshold is not computed and ``inf`` stands in, and the
+    dataset is not read. Every model is checked before the threshold is.
     """
+    base = planner_config(cfg, math.inf)
+    planners = [dataclasses.replace(base, **sets) for sets in fields]
+    reads = [p.use_pruning and "uncertainty_threshold" not in sets for p, sets in zip(planners, fields)]
     dataset_path = _resolve(out_dir, cfg.dataset)
-    calibrate = prunes and cfg.threshold is None
-    if calibrate:
+    if any(reads) and cfg.threshold is None:
         _require(dataset_path, "run `mopp gen-data` first")
-    bundle = _load_bundle(cfg, out_dir, planners(math.inf))
-    if not prunes:
-        return bundle, planners(math.inf), "no planner prunes by the uncertainty threshold"
-    if not calibrate:
-        return bundle, planners(cfg.threshold), f"uncertainty threshold {cfg.threshold:.6g} from the config"
-    dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
-    threshold, how = _calibrated_threshold(out_dir, dataset_path, dyn_dir, bundle.dynamics)
-    return bundle, planners(threshold), f"uncertainty threshold {threshold:.6g} {how}"
+    bundle = _load_bundle(cfg, out_dir, planners)
+    if not any(reads):
+        return bundle, planners, "no planner prunes by the uncertainty threshold"
+    if cfg.threshold is not None:
+        threshold, how = cfg.threshold, "from the config"
+    else:
+        dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
+        threshold, how = _calibrated_threshold(out_dir, dataset_path, dyn_dir, bundle.dynamics)
+    planners = [dataclasses.replace(p, uncertainty_threshold=threshold) if r else p for p, r in zip(planners, reads)]
+    return bundle, planners, f"uncertainty threshold {threshold:.6g} {how}"
 
 
 def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamics):
@@ -245,7 +255,7 @@ def _format_row(values) -> str:
 
 
 def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
-    """Plan each (planner config, seed, episode) job; returns, in job order, each result or the MoppError it raised.
+    """Plan each (planner config, seed, episode) job; returns the EpisodeResults in job order.
 
     The jobs run on min(nn._workers, len(jobs)) processes. With one, they run
     here, one after another. Otherwise children of multiprocessing's fork
@@ -260,10 +270,7 @@ def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
 
     def run(job):
         pcfg, seed, ep = job
-        try:
-            return planner.run_episode(_make_env(cfg), bundle, pcfg, constraints=constraints, seed=(seed, ep))
-        except MoppError as err:
-            return err
+        return planner.run_episode(_make_env(cfg), bundle, pcfg, constraints=constraints, seed=(seed, ep))
 
     def child(jobs, conn, workers: int) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C interrupts the parent, which kills its children
@@ -319,66 +326,39 @@ def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    bundle, (pcfg,), note = _load_planner_inputs(
-        cfg, args.out, cfg.use_pruning, lambda threshold: [planner_config(cfg, threshold)]
-    )
+    bundle, (pcfg,), note = _load_planner_inputs(cfg, args.out, [{}])
     _info(args, f"evaluating: {note}")
 
-    rows = []
-    per_seed = {}
-    first_episode_diag = None
     jobs = [(pcfg, seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
-    for (_, seed, ep), res in zip(jobs, _episodes(cfg, bundle, constraint_config(cfg), jobs)):
-        if isinstance(res, MoppError):
-            rows.append((seed, ep, "", "", "", "failed"))
-            print(f"seed {seed} episode {ep} failed: {res}", file=sys.stderr)
-            continue
-        rows.append((seed, ep, float(res.ret), res.steps, res.violations, "ok"))
+    results = _episodes(cfg, bundle, constraint_config(cfg), jobs)
+    lines = ["seed,episode,return,steps,violations"]
+    per_seed = {}
+    for (_, seed, ep), res in zip(jobs, results):
+        lines.append(_format_row((seed, ep, float(res.ret), res.steps, res.violations)))
         per_seed.setdefault(seed, []).append(res)
-        if first_episode_diag is None:
-            first_episode_diag = planner.diagnostics_csv(res)
         _info(args, f"seed {seed} episode {ep}: return {res.ret:.2f} violations {res.violations}")
-    failed = any(row[-1] == "failed" for row in rows)
-
-    header = "seed,episode,return,steps,violations" + (",status" if failed else "")
-    lines = [_format_row(row if failed else row[:-1]) for row in rows]
-    if per_seed:
-        fields = ("ret", "steps", "violations")
-        means = np.array([[np.mean([getattr(r, f) for r in rs]) for f in fields] for rs in per_seed.values()])
-        ret_mean, ret_std = float(means[:, 0].mean()), float(means[:, 0].std())
-        steps_mean = float(means[:, 1].mean())
-        viol_mean, viol_std = float(means[:, 2].mean()), float(means[:, 2].std())
-        agg = [
-            "aggregate",
-            "",
-            f"{ret_mean:.6f}±{ret_std:.6f}",
-            f"{steps_mean:.6f}",
-            f"{viol_mean:.6f}±{viol_std:.6f}",
-        ]
-        if failed:
-            agg.append("partial")
-        lines.append(",".join(agg))
+    fields = ("ret", "steps", "violations")
+    means = np.array([[np.mean([getattr(r, f) for r in rs]) for f in fields] for rs in per_seed.values()])
+    ret_mean, ret_std = float(means[:, 0].mean()), float(means[:, 0].std())
+    steps_mean = float(means[:, 1].mean())
+    viol_mean, viol_std = float(means[:, 2].mean()), float(means[:, 2].std())
+    lines.append(
+        f"aggregate,,{ret_mean:.6f}±{ret_std:.6f},{steps_mean:.6f},{viol_mean:.6f}±{viol_std:.6f}"
+    )
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "results.csv")
-    _write_text(out_path, header + "\n" + "\n".join(lines) + "\n")
-    if first_episode_diag is not None:
-        _write_text(os.path.join(args.out, "diagnostics.csv"), first_episode_diag)
+    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_text(os.path.join(args.out, "diagnostics.csv"), planner.diagnostics_csv(results[0]))
     _info(args, f"wrote {out_path}")
-    return 1 if failed else 0
+    return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
     cells = [(axis_value, variant) for axis_value in cfg.ablate_values for variant in cfg.ablate_variants]
-
-    def cell_planners(threshold):
-        base = planner_config(cfg, threshold)
-        return [dataclasses.replace(base, **ablate_axis_field(cfg, v), **ABLATE_VARIANTS[name]) for v, name in cells]
-
-    # the l axis sets every cell's threshold; otherwise pruning cells read the configured one
-    prunes = cfg.ablate_axis != "l" and any(p.use_pruning for p in cell_planners(math.inf))
-    bundle, pcfgs, note = _load_planner_inputs(cfg, args.out, prunes, cell_planners)
+    fields = [{**ablate_axis_field(cfg, v), **ABLATE_VARIANTS[name]} for v, name in cells]
+    bundle, pcfgs, note = _load_planner_inputs(cfg, args.out, fields)
     _info(args, f"ablating {cfg.ablate_axis}: {note}")
 
     runs = [(seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
@@ -386,29 +366,20 @@ def cmd_ablate(args) -> int:
     results = _episodes(cfg, bundle, constraint_config(cfg), jobs)
 
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]
-    failed = False
     for c, (axis_value, variant) in enumerate(cells):
-        rets, viols = [], []
-        for res in results[c * len(runs) : (c + 1) * len(runs)]:
-            if isinstance(res, MoppError):
-                failed = True
-                lines.append(f"{cfg.ablate_axis},{axis_value},{variant},,,")
-                print(f"cell {axis_value}/{variant} failed: {res}", file=sys.stderr)
-                break
-            rets.append(res.ret)
-            viols.append(res.violations)
-        else:
-            lines.append(
-                f"{cfg.ablate_axis},{axis_value},{variant},"
-                f"{np.mean(rets):.6f},{np.std(rets):.6f},{np.mean(viols):.6f}"
-            )
-            _info(args, f"{cfg.ablate_axis}={axis_value} {variant}: {np.mean(rets):.2f}")
+        cell = results[c * len(runs) : (c + 1) * len(runs)]
+        rets, viols = [res.ret for res in cell], [res.violations for res in cell]
+        lines.append(
+            f"{cfg.ablate_axis},{axis_value},{variant},"
+            f"{np.mean(rets):.6f},{np.std(rets):.6f},{np.mean(viols):.6f}"
+        )
+        _info(args, f"{cfg.ablate_axis}={axis_value} {variant}: {np.mean(rets):.2f}")
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "ablation.csv")
     _write_text(out_path, "\n".join(lines) + "\n")
     _info(args, f"wrote {out_path}")
-    return 1 if failed else 0
+    return 0
 
 
 def cmd_print_config(args) -> int:

@@ -17,10 +17,10 @@ def format_floats(values) -> str:
     return ",".join(repr(float(v)) for v in np.asarray(values).ravel())
 
 
-def parse_floats(text: str, dtype=np.float32) -> np.ndarray:
+def parse_floats(text: str) -> np.ndarray:
     if text == "":
-        return np.zeros(0, dtype=dtype)
-    return np.array([float(v) for v in text.split(",")], dtype=dtype)
+        return np.zeros(0, dtype=np.float32)
+    return np.array([float(v) for v in text.split(",")], dtype=np.float32)
 
 
 def parse_ints(text: str) -> list[int]:

@@ -384,39 +384,32 @@ def load_net(path) -> DenseNet:
     data = read_file(path)
     if data[:8] != NET_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
-    off = 8
-    if len(data) < off + 4:
+    if len(data) < 12:
         raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    (n_sizes,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (n_sizes,) = struct.unpack_from("<I", data, 8)
     if n_sizes < 2:
         raise FormatError(f"{path}: invalid layer count at byte offset 8")
-    if len(data) < off + 4 * n_sizes + 1:
+    off = 12 + 4 * n_sizes + 1  # the weights start after the sizes and the activation tag
+    if len(data) < off:
         raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    sizes = list(struct.unpack_from(f"<{n_sizes}I", data, off))
+    sizes = list(struct.unpack_from(f"<{n_sizes}I", data, 12))
     if 0 in sizes:
-        raise FormatError(f"{path}: zero layer size at byte offset {off + 4 * sizes.index(0)}")
-    off += 4 * n_sizes
-    (tag,) = struct.unpack_from("<B", data, off)
-    off += 1
+        raise FormatError(f"{path}: zero layer size at byte offset {12 + 4 * sizes.index(0)}")
+    tag = data[off - 1]
     if tag not in _TAG_ACTS:
         raise FormatError(f"{path}: unknown activation tag at byte offset {off - 1}")
+    expected = off + 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    if len(data) != expected:
+        what = "trailing bytes" if len(data) > expected else "truncated"
+        raise FormatError(f"{path}: {what} at byte offset {min(len(data), expected)}; the layer sizes take {expected}")
     weights, biases = [], []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        need = 4 * n_in * n_out
-        if len(data) < off + need:
-            raise FormatError(f"{path}: truncated weights at byte offset {len(data)}")
         weights.append(
             np.frombuffer(data, dtype="<f4", count=n_in * n_out, offset=off)
             .reshape(n_in, n_out)
             .astype(np.float32)
         )
-        off += need
-        need = 4 * n_out
-        if len(data) < off + need:
-            raise FormatError(f"{path}: truncated biases at byte offset {len(data)}")
+        off += 4 * n_in * n_out
         biases.append(np.frombuffer(data, dtype="<f4", count=n_out, offset=off).astype(np.float32))
-        off += need
-    if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} trailing bytes at byte offset {off}")
+        off += 4 * n_out
     return DenseNet.from_params(weights, biases, _TAG_ACTS[tag])

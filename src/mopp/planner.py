@@ -363,6 +363,31 @@ def plan_step(
     return new_plan[0].copy(), new_plan, diag
 
 
+def check_models(bundle: ModelBundle, config: PlannerConfig, spec, sources=None) -> None:
+    """Raise a ConfigError naming the first model of ``bundle`` that cannot plan ``config`` in an env of ``spec``.
+
+    Widths must fit the env's (a Q's if the config reads it), and pruning needs
+    >= 2 dynamics members. ``sources[field]``, if given, starts a message on that ModelBundle field.
+    """
+    where = {field: f"{source}: " for field, source in (sources or {}).items()}
+    s_dim, a_dim = spec.state_dim, spec.action_dim
+    widths = [
+        ("dynamics", "dynamics model", "input", bundle.dynamics.input_dim, "|S|+|A|", s_dim + a_dim),
+        ("dynamics", "dynamics model", "output", bundle.dynamics.output_dim, "|S|+1", s_dim + 1),
+        ("behavior", "behavior model", "input", bundle.behavior.input_dim, "|S|", s_dim),
+        ("behavior", "behavior model", "output", bundle.behavior.output_dim, "|A|", a_dim),
+    ]
+    if (config.use_max_q or config.use_value) and bundle.q is not None:
+        widths.append(("q", "Q network", "input", bundle.q.input_dim, "|S|+|A|", s_dim + a_dim))
+    for field, model, side, width, name, want in widths:
+        if width != want:
+            message = f"the {model} has {side} width {width}, but the environment's {name} = {want}"
+            raise ConfigError(where.get(field, "") + message)
+    if config.use_pruning and bundle.dynamics.k < 2:
+        message = f"use_pruning needs >= 2 dynamics members to measure disagreement, found {bundle.dynamics.k}"
+        raise ConfigError(where.get("dynamics", "") + message)
+
+
 def run_episode(
     env,
     bundle: ModelBundle,
@@ -374,25 +399,9 @@ def run_episode(
 
     Accumulates the true environment reward; violations are counted with the
     environment's ``violation`` predicate, evaluated at each (state, executed
-    action) pair. Each model's widths must fit the env's, Q's only if the
-    config reads it; a ConfigError names the first that does not.
+    action) pair. The models are checked first (see :func:`check_models`).
     """
-    s_dim, a_dim = env.spec.state_dim, env.spec.action_dim
-    widths = [
-        ("dynamics model", "input", bundle.dynamics.input_dim, "|S|+|A|", s_dim + a_dim),
-        ("dynamics model", "output", bundle.dynamics.output_dim, "|S|+1", s_dim + 1),
-        ("behavior model", "input", bundle.behavior.input_dim, "|S|", s_dim),
-        ("behavior model", "output", bundle.behavior.output_dim, "|A|", a_dim),
-    ]
-    if (config.use_max_q or config.use_value) and bundle.q is not None:
-        widths.append(("Q network", "input", bundle.q.input_dim, "|S|+|A|", s_dim + a_dim))
-    for model, side, width, name, want in widths:
-        if width != want:
-            raise ConfigError(f"the {model} has {side} width {width}, but the environment's {name} = {want}")
-    if config.use_pruning and bundle.dynamics.k < 2:
-        raise ConfigError(
-            f"use_pruning needs >= 2 dynamics members to measure disagreement, found {bundle.dynamics.k}"
-        )
+    check_models(bundle, config, env.spec)
     seed_key = _seed_key(seed)
     s = env.reset(seed=[*seed_key, 0])
     plan = initial_plan(config.horizon, env.spec.action_dim)

@@ -10,7 +10,7 @@ import pytest
 import mopp
 from mopp import adm, cli, config, data, envs, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
-from mopp.errors import ConfigError, FormatError, MoppError
+from mopp.errors import ConfigError, FormatError
 
 TINY_CONFIG = """\
 [run]
@@ -233,31 +233,6 @@ def test_evaluate_writes_step_diagnostics(pipeline_dir):
     assert len(lines) == 1 + 200  # one row per control step
     first = lines[1].split(",")
     assert first[0] == "0" and first[6] in ("0", "1")
-
-
-def test_seed_failure_marks_partial_results(pipeline_dir, monkeypatch, capsys):
-    out, base = pipeline_dir
-    from mopp import planner
-    from mopp.errors import MoppError
-
-    real = planner.run_episode
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise MoppError("synthetic failure")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli.planner, "run_episode", flaky)
-    code = cli.main(["evaluate", *base])
-    assert code == 1
-    lines = (out / "results.csv").read_text().strip().splitlines()
-    assert lines[0].endswith(",status")
-    assert lines[1].endswith(",failed")
-    # restore a clean results.csv for later tests
-    monkeypatch.undo()
-    assert cli.main(["evaluate", *base]) == 0
 
 
 def test_pruning_with_one_dynamics_member_is_config_error(pipeline_dir, tmp_path, capsys):
@@ -824,18 +799,8 @@ def run_both(run, base, capsys) -> tuple:
     return codes, [(run / name).read_bytes() for name in CSV_NAMES], captured.out, captured.err
 
 
-@pytest.mark.parametrize("failing", [False, True])
-def test_episode_processes_write_the_sequential_output(process_run, monkeypatch, capsys, failing):
+def test_episode_processes_write_the_sequential_output(process_run, monkeypatch, capsys):
     run, base, forks = process_run
-    if failing:  # seed 1 episode 0 fails at sigma_m = 0.5: in evaluate and in both cells of that value
-        real = planner.run_episode
-
-        def flaky(env, bundle, pcfg, constraints, seed):
-            if seed == (1, 0) and pcfg.sigma_scale == 0.5:
-                raise MoppError("synthetic failure")
-            return real(env, bundle, pcfg, constraints=constraints, seed=seed)
-
-        monkeypatch.setattr(planner, "run_episode", flaky)
     out = []
     for workers in (1, 2):
         monkeypatch.setattr(nn, "_workers", workers)
@@ -843,10 +808,7 @@ def test_episode_processes_write_the_sequential_output(process_run, monkeypatch,
         assert len(forks) == (workers == 2) * 4  # two children per command
         forks.clear()
     assert out[0] == out[1]
-    codes, csvs, _, err = out[0]
-    assert codes == ((1, 1) if failing else (0, 0))
-    if failing:
-        assert err.count("synthetic failure") == 3 and b",failed\n" in csvs[0] and b"0.5,noP,,,\n" in csvs[2]
+    assert out[0][0] == (0, 0)
 
 
 @pytest.mark.parametrize("death", ["exit 3", "raise"])
@@ -895,6 +857,55 @@ def test_one_job_or_one_worker_never_forks(process_run, monkeypatch, workers, co
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     monkeypatch.setattr(nn, "_workers", workers)
     assert cli.main(["evaluate", *base, "--quiet"]) == 0
+
+
+# --- models that do not fit the env ---
+
+
+@pytest.fixture(scope="module")
+def misfit_dir(tmp_path_factory):
+    """Dynamics, behavior and Q checkpoints fitted to a 3-state, 2-action dataset; the point mass has 4 states."""
+    root = tmp_path_factory.mktemp("misfit")
+    rng = np.random.default_rng(0)
+    states = rng.normal(size=(64, 3)).astype(np.float32)
+    actions = rng.normal(size=(64, 2)).astype(np.float32)
+    done = np.arange(64) % 16 == 15
+    ds = data.Dataset(states, actions, rng.normal(size=64), np.roll(states, -1, axis=0), done, np.arange(64) // 16)
+    adm_cfg = adm.AdmConfig(members=2, steps=1, batch_size=8, embed_width=4, head_hidden=(4,))
+    for role in ("dynamics", "behavior"):
+        adm.save_ensemble(adm.adm_train(ds, role, adm_cfg, seed=1), root / role)
+    fqe_cfg = value.FqeConfig(iterations=1, steps_per_iteration=1, batch_size=8, hidden=(4,))
+    value.save_q(value.fqe_train(ds, fqe_cfg, seed=2), root / "q")
+    return root
+
+
+# model -> what its message names besides its directory
+MISFIT_NEEDLES = {
+    "dynamics": ("dynamics model", "input width 5", "|S|+|A| = 6"),
+    "behavior": ("behavior model", "input width 3", "|S| = 4"),
+    "q": ("Q network", "input width 5", "|S|+|A| = 6"),
+}
+
+
+@pytest.mark.parametrize("model", MISFIT_NEEDLES)
+@pytest.mark.parametrize("threshold", ["auto", "0.5"])
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_checkpoint_that_does_not_fit_the_env_exits_2_before_work(
+    cold_run, misfit_dir, monkeypatch, capsys, command, threshold, model
+):
+    run, base = cold_run
+    path = misfit_dir / model
+    (run / "run.cfg").write_text(
+        PROCESS_CONFIG.replace("l = auto", f"l = {threshold}").replace("[data]", f"{model}_dir = {path}\n\n[data]")
+    )
+    calls = count_calibrations(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(nn, "_workers", 2)
+    assert cli.main([command, *base]) == 2
+    err = capsys.readouterr().err
+    assert all(needle in err for needle in (*MISFIT_NEEDLES[model], str(path))) and "Traceback" not in err
+    assert calls == []
+    assert not any((run / name).exists() for name in CSV_NAMES)
 
 
 # --- write targets that are files ---
