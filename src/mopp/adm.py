@@ -10,7 +10,6 @@ predictions is the uncertainty signal used for trajectory pruning.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,7 @@ import numpy as np
 from . import nn
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
-from .manifest import (
-    FORMAT,
-    format_floats,
-    parse_ints,
-    read_manifest,
-    write_manifest,
-)
+from .manifest import format_floats, parse_ints, read_checkpoint, write_checkpoint
 
 EMBED_WIDTH = 500
 HEAD_HIDDEN = (200, 100)
@@ -334,10 +327,9 @@ def disc_from_predictions(preds: np.ndarray) -> np.ndarray:
 
 
 def save_ensemble(ensemble: AdmEnsemble, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
+    """Write ``ensemble`` to ``directory``'s checkpoint file: its manifest, then per member its embedding and heads."""
     first = ensemble.members[0]
     entries = {
-        "format": FORMAT,
         "role": ensemble.role,
         "k": ensemble.k,
         "input_dim": ensemble.input_dim,
@@ -354,31 +346,14 @@ def save_ensemble(ensemble: AdmEnsemble, directory) -> None:
     }
     for j, member in enumerate(ensemble.members):
         entries[f"ordering_{j}"] = ",".join(str(d) for d in member.ordering)
-    manifest, *net_paths = ensemble_files(directory, ensemble.k, ensemble.output_dim)
-    write_manifest(manifest, entries)
-    nets = [net for member in ensemble.members for net in (member.embed_net, *member.heads)]
-    for net, net_path in zip(nets, net_paths):
-        nn.save_net(net, net_path)
-
-
-def ensemble_files(directory, k: int, output_dim: int) -> list:
-    """Paths of a saved ensemble's files: ``manifest.txt``, then per member its embedding and heads."""
-    names = ["embed", *(f"head_{i:02d}" for i in range(output_dim))]
-    nets = [f"member_{j:03d}_{name}.nn" for j in range(k) for name in names]
-    return [os.path.join(directory, name) for name in ("manifest.txt", *nets)]
+    write_checkpoint(directory, entries, [net for m in ensemble.members for net in (m.embed_net, *m.heads)])
 
 
 def load_ensemble(directory) -> AdmEnsemble:
-    path = os.path.join(directory, "manifest.txt")
-    entries = read_manifest(path)
-    entries.expect("format", (FORMAT,))
+    entries, nets = read_checkpoint(directory)
+    path = entries.path
     role = entries.expect("role", ROLES)
-    stats = NormStats(
-        x_mean=entries.parse_vector("x_mean", "input_dim"),
-        x_std=entries.parse_vector("x_std", "input_dim"),
-        o_mean=entries.parse_vector("o_mean", "output_dim"),
-        o_std=entries.parse_vector("o_std", "output_dim"),
-    )
+    stats = NormStats(*entries.mean_std("x", "input_dim"), *entries.mean_std("o", "output_dim"))
     k = entries.parse("k", int)
     if k < 1:
         raise FormatError(f"{path}: key 'k' must be a positive member count, got {k}")
@@ -391,23 +366,19 @@ def load_ensemble(directory) -> AdmEnsemble:
             raise FormatError(
                 f"{path}: key {key!r} = {entries[key]}, but the std heads are bounded by {bound!r}"
             )
-    # the nets are built from their files, and must have the sizes the manifest describes
+    # the nets are read from the file, and must have the count and sizes the manifest describes
     sizes = _net_layer_sizes(input_dim, output_dim, embed_width, head_hidden)
     size_keys = ["input_dim, embed_width", *["embed_width, head_hidden"] * output_dim]
-    _, *net_paths = ensemble_files(directory, k, output_dim)
+    if len(nets) != k * len(sizes):
+        raise FormatError(f"{path}: keys k, output_dim describe {k * len(sizes)} nets, but the file holds {len(nets)}")
+    for n, (want, keys, got) in enumerate(zip(sizes * k, size_keys * k, nets)):
+        if got.layer_sizes != want or got.activation != activation:
+            raise FormatError(
+                f"{path}: keys {keys}, activation describe a {activation} net of layer sizes "
+                f"{want}, but net {n} is a {got.activation} net of {got.layer_sizes}"
+            )
     members = []
     for j in range(k):
-        nets = []
-        member_paths = net_paths[j * len(sizes) : (j + 1) * len(sizes)]
-        for want, keys, net_path in zip(sizes, size_keys, member_paths):
-            got = nn.load_net(net_path)
-            if got.layer_sizes != want or got.activation != activation:
-                raise FormatError(
-                    f"{path}: keys {keys}, activation describe a {activation} net of "
-                    f"layer sizes {want}, but {net_path} holds a {got.activation} "
-                    f"net of {got.layer_sizes}"
-                )
-            nets.append(got)
         try:
             model = AdmModel(
                 input_dim,
@@ -417,7 +388,7 @@ def load_ensemble(directory) -> AdmEnsemble:
                 embed_width=embed_width,
                 head_hidden=head_hidden,
                 activation=activation,
-                nets=nets,
+                nets=nets[j * len(sizes) : (j + 1) * len(sizes)],
             )
         except ValueError as err:  # an ordering that is no permutation
             raise FormatError(f"{path}: {err}") from None

@@ -28,7 +28,7 @@ from .config import (
     planner_config,
 )
 from .errors import ConfigError, FormatError, MoppError
-from .manifest import read_manifest
+from .manifest import CHECKPOINT_FILE, read_manifest, stored_digest
 
 CALIBRATION_FILE = "calibration.txt"
 # The calibration key covers every module of the package, so an edit to the
@@ -98,8 +98,8 @@ def _load_bundle(cfg: RunConfig, out_dir: str, planners: list):
     dyn_dir = _resolve(out_dir, cfg.dynamics_dir)
     beh_dir = _resolve(out_dir, cfg.behavior_dir)
     q_dir = _resolve(out_dir, cfg.q_dir)
-    _require(dyn_dir, "run `mopp train-dynamics` first")
-    _require(beh_dir, "run `mopp train-behavior` first")
+    _require(os.path.join(dyn_dir, CHECKPOINT_FILE), "run `mopp train-dynamics` first")
+    _require(os.path.join(beh_dir, CHECKPOINT_FILE), "run `mopp train-behavior` first")
     dynamics = adm.load_ensemble(dyn_dir)
     behavior = adm.load_ensemble(beh_dir)
     for path, ensemble, role in ((dyn_dir, dynamics, "dynamics"), (beh_dir, behavior, "behavior")):
@@ -107,7 +107,7 @@ def _load_bundle(cfg: RunConfig, out_dir: str, planners: list):
             raise FormatError(f"{path}: holds the {ensemble.role!r} ensemble, expected {role!r}")
     q = None
     if any(p.use_max_q or p.use_value for p in planners):
-        _require(q_dir, "run `mopp train-q` first (or disable use_max_q/use_value)")
+        _require(os.path.join(q_dir, CHECKPOINT_FILE), "run `mopp train-q` first (or disable use_max_q/use_value)")
         q = value.load_q(q_dir)
     bundle = planner.ModelBundle(dynamics=dynamics, behavior=behavior, q=q)
     sources = {"dynamics": dyn_dir, "behavior": beh_dir, "q": q_dir}
@@ -147,12 +147,12 @@ def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamic
     """The `l = auto` threshold, computed once per dataset, dynamics checkpoint and code.
 
     ``<out>/calibration.txt`` stores it with a key over the dataset's bytes,
-    the checkpoint's manifest and net files, and the code. A missing,
+    the checkpoint's stored digest, and the code. A missing,
     unreadable, malformed or stale file is recomputed and rewritten: it holds
     derived data only. Returns (threshold, how it was obtained).
     """
     path = os.path.join(out_dir, CALIBRATION_FILE)
-    key = _calibration_key(dataset_path, adm.ensemble_files(dyn_dir, dynamics.k, dynamics.output_dim))
+    key = _calibration_key(dataset_path, dyn_dir)
     stored = _stored_threshold(path, key)
     if stored is not None:
         return stored, f"read from {path}"
@@ -162,13 +162,15 @@ def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamic
     return threshold, f"computed on the dataset, saved to {path}"
 
 
-def _calibration_key(dataset_path: str, checkpoint_files) -> str:
-    """SHA-256 over numpy's version and the code, dataset and checkpoint files, each framed by name and size."""
+def _calibration_key(dataset_path: str, dyn_dir: str) -> str:
+    """SHA-256 over numpy's version, the code and dataset files (each framed by name and size) and the checkpoint's digest."""
     h = hashlib.sha256(np.__version__.encode())
-    for path in (*CALIBRATION_CODE, dataset_path, *checkpoint_files):
-        blob = data.read_file(path)
-        h.update(f"\n{os.path.basename(path)} {len(blob)}\n".encode())
-        h.update(blob)
+    for path in (*CALIBRATION_CODE, dataset_path):
+        with data.open_file(path) as f:
+            size = os.fstat(f.fileno()).st_size
+            h.update(f"\n{os.path.basename(path)} {size}\n".encode())
+            data.hash_file(h, f, size)
+    h.update(stored_digest(dyn_dir))
     return h.hexdigest()
 
 
@@ -324,16 +326,30 @@ def _episodes(cfg: RunConfig, bundle, constraints, jobs) -> list:
     return results
 
 
+def _run_planners(args, cfg: RunConfig, fields: list, doing: str):
+    """Plan each (seed, episode) run under each planner config of ``fields``; returns the runs and each config's results."""
+    bundle, planners, note = _load_planner_inputs(cfg, args.out, fields)
+    _info(args, f"{doing}: {note}")
+    runs = [(seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
+    results = _episodes(cfg, bundle, constraint_config(cfg), [(p, *run) for p in planners for run in runs])
+    return runs, [results[c * len(runs) : (c + 1) * len(runs)] for c in range(len(planners))]
+
+
+def _write_outputs(args, texts: dict) -> None:
+    """Write each file name -> text of ``texts`` under --out, crash-safe, and report it."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in texts.items():
+        path = os.path.join(args.out, name)
+        _write_text(path, text)
+        _info(args, f"wrote {path}")
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    bundle, (pcfg,), note = _load_planner_inputs(cfg, args.out, [{}])
-    _info(args, f"evaluating: {note}")
-
-    jobs = [(pcfg, seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
-    results = _episodes(cfg, bundle, constraint_config(cfg), jobs)
+    runs, (results,) = _run_planners(args, cfg, [{}], "evaluating")
     lines = ["seed,episode,return,steps,violations"]
     per_seed = {}
-    for (_, seed, ep), res in zip(jobs, results):
+    for (seed, ep), res in zip(runs, results):
         lines.append(_format_row((seed, ep, float(res.ret), res.steps, res.violations)))
         per_seed.setdefault(seed, []).append(res)
         _info(args, f"seed {seed} episode {ep}: return {res.ret:.2f} violations {res.violations}")
@@ -345,12 +361,7 @@ def cmd_evaluate(args) -> int:
     lines.append(
         f"aggregate,,{ret_mean:.6f}±{ret_std:.6f},{steps_mean:.6f},{viol_mean:.6f}±{viol_std:.6f}"
     )
-
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "results.csv")
-    _write_text(out_path, "\n".join(lines) + "\n")
-    _write_text(os.path.join(args.out, "diagnostics.csv"), planner.diagnostics_csv(results[0]))
-    _info(args, f"wrote {out_path}")
+    _write_outputs(args, {"results.csv": "\n".join(lines) + "\n", "diagnostics.csv": planner.diagnostics_csv(results[0])})
     return 0
 
 
@@ -358,27 +369,16 @@ def cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
     cells = [(axis_value, variant) for axis_value in cfg.ablate_values for variant in cfg.ablate_variants]
     fields = [{**ablate_axis_field(cfg, v), **ABLATE_VARIANTS[name]} for v, name in cells]
-    bundle, pcfgs, note = _load_planner_inputs(cfg, args.out, fields)
-    _info(args, f"ablating {cfg.ablate_axis}: {note}")
-
-    runs = [(seed, ep) for seed in cfg.seeds for ep in range(cfg.episodes)]
-    jobs = [(pcfg, seed, ep) for pcfg in pcfgs for seed, ep in runs]
-    results = _episodes(cfg, bundle, constraint_config(cfg), jobs)
-
+    _, per_cell = _run_planners(args, cfg, fields, f"ablating {cfg.ablate_axis}")
     lines = ["axis,value,variant,return_mean,return_std,violations_mean"]
-    for c, (axis_value, variant) in enumerate(cells):
-        cell = results[c * len(runs) : (c + 1) * len(runs)]
+    for (axis_value, variant), cell in zip(cells, per_cell):
         rets, viols = [res.ret for res in cell], [res.violations for res in cell]
         lines.append(
             f"{cfg.ablate_axis},{axis_value},{variant},"
             f"{np.mean(rets):.6f},{np.std(rets):.6f},{np.mean(viols):.6f}"
         )
         _info(args, f"{cfg.ablate_axis}={axis_value} {variant}: {np.mean(rets):.2f}")
-
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "ablation.csv")
-    _write_text(out_path, "\n".join(lines) + "\n")
-    _info(args, f"wrote {out_path}")
+    _write_outputs(args, {"ablation.csv": "\n".join(lines) + "\n"})
     return 0
 
 

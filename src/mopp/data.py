@@ -143,13 +143,26 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def read_file(path) -> bytes:
-    """The bytes of the file at ``path``; one that cannot be read is a FormatError naming it."""
+@contextlib.contextmanager
+def open_file(path):
+    """``path`` opened for binary reading; an OSError in opening or reading it is a FormatError naming it."""
     try:
         with open(path, "rb") as f:
-            return f.read()
+            yield f
     except OSError as err:
         raise FormatError(f"{path}: cannot read ({err.strerror})") from None
+
+
+def read_file(path) -> bytes:
+    """The bytes of the file at ``path`` (see :func:`open_file`)."""
+    with open_file(path) as f:
+        return f.read()
+
+
+def hash_file(h, f, size: int) -> None:
+    """Feed the next ``size`` bytes of the binary file ``f`` (fewer at its end) to the hash ``h``, a MiB at a time."""
+    for start in range(0, size, 1 << 20):
+        h.update(f.read(min(1 << 20, size - start)))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

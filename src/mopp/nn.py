@@ -1,4 +1,4 @@
-"""Minimal dense-network stack: forward, backprop, losses, Adam, checkpoints.
+"""Minimal dense-network stack: forward, backprop, losses, Adam, net records.
 
 Everything here runs on plain numpy. Parameters default to float32 with
 losses accumulated in float64; float64 networks are supported for
@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .data import read_file
 from .errors import FormatError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -367,49 +366,39 @@ def adam_update(params, grads, state: AdamState) -> None:
         p -= s1
 
 
-def save_net(net: DenseNet, path) -> None:
-    """Write the binary checkpoint: magic, sizes, activation tag, float32 params."""
-    with open(path, "wb") as f:
-        f.write(NET_MAGIC)
-        f.write(struct.pack("<I", len(net.layer_sizes)))
-        f.write(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-        f.write(struct.pack("<B", _ACT_TAGS[net.activation]))
-        for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+def write_net(write, net: DenseNet) -> None:
+    """Pass ``net``'s record to ``write`` piece by piece: magic, sizes, activation tag, float32 params."""
+    sizes = net.layer_sizes
+    write(NET_MAGIC + struct.pack(f"<I{len(sizes)}IB", len(sizes), *sizes, _ACT_TAGS[net.activation]))
+    for p in net.params():
+        write(np.ascontiguousarray(p, dtype="<f4"))
 
 
-def load_net(path) -> DenseNet:
-    """Read a checkpoint written by :func:`save_net`. Round trip is bit-exact."""
-    data = read_file(path)
-    if data[:8] != NET_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    (n_sizes,) = struct.unpack_from("<I", data, 8)
+def read_net(f, path, end: int) -> DenseNet:
+    """Read a :func:`write_net` record from ``f`` at its position; the record must end by byte offset ``end``.
+
+    Each array is read straight into a float32 array of its own. Round trip is bit-exact.
+    """
+    start = f.tell()
+
+    def room(n: int) -> int:  # n, once the next n bytes are known to end by byte offset end
+        if f.tell() + n > end:
+            raise FormatError(f"{path}: the net record at byte offset {start} is truncated at byte offset {end}")
+        return n
+
+    if f.read(room(8)) != NET_MAGIC:
+        raise FormatError(f"{path}: bad magic at byte offset {start}")
+    (n_sizes,) = struct.unpack("<I", f.read(room(4)))
     if n_sizes < 2:
-        raise FormatError(f"{path}: invalid layer count at byte offset 8")
-    off = 12 + 4 * n_sizes + 1  # the weights start after the sizes and the activation tag
-    if len(data) < off:
-        raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    sizes = list(struct.unpack_from(f"<{n_sizes}I", data, 12))
+        raise FormatError(f"{path}: invalid layer count at byte offset {start + 8}")
+    *sizes, tag = struct.unpack(f"<{n_sizes}IB", f.read(room(4 * n_sizes + 1)))
     if 0 in sizes:
-        raise FormatError(f"{path}: zero layer size at byte offset {12 + 4 * sizes.index(0)}")
-    tag = data[off - 1]
+        raise FormatError(f"{path}: zero layer size at byte offset {start + 12 + 4 * sizes.index(0)}")
     if tag not in _TAG_ACTS:
-        raise FormatError(f"{path}: unknown activation tag at byte offset {off - 1}")
-    expected = off + 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-    if len(data) != expected:
-        what = "trailing bytes" if len(data) > expected else "truncated"
-        raise FormatError(f"{path}: {what} at byte offset {min(len(data), expected)}; the layer sizes take {expected}")
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(
-            np.frombuffer(data, dtype="<f4", count=n_in * n_out, offset=off)
-            .reshape(n_in, n_out)
-            .astype(np.float32)
-        )
-        off += 4 * n_in * n_out
-        biases.append(np.frombuffer(data, dtype="<f4", count=n_out, offset=off).astype(np.float32))
-        off += 4 * n_out
-    return DenseNet.from_params(weights, biases, _TAG_ACTS[tag])
+        raise FormatError(f"{path}: unknown activation tag at byte offset {f.tell() - 1}")
+    shapes = [shape for n_in, n_out in zip(sizes[:-1], sizes[1:]) for shape in ((n_in, n_out), (n_out,))]
+    room(4 * sum(math.prod(shape) for shape in shapes))
+    params = [np.empty(shape, "<f4") for shape in shapes]  # as stored: native float32 on a little-endian machine
+    for p in params:
+        f.readinto(p)
+    return DenseNet.from_params(params[0::2], params[1::2], _TAG_ACTS[tag])

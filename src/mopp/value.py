@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -11,7 +10,7 @@ import numpy as np
 from . import nn
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError, TrainingDiverged
-from .manifest import FORMAT, format_floats, read_manifest, write_manifest
+from .manifest import format_floats, read_checkpoint, write_checkpoint
 
 Q_HIDDEN = (500, 500)
 
@@ -138,42 +137,30 @@ def fqe_train(dataset: Dataset, config: FqeConfig, seed: int = 0) -> QNetwork:
 
 
 def save_q(q: QNetwork, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
-    write_manifest(
-        os.path.join(directory, "manifest.txt"),
-        {
-            "format": FORMAT,
-            "role": "q",
-            "input_dim": q.input_dim,
-            "x_mean": format_floats(q.x_mean),
-            "x_std": format_floats(q.x_std),
-            "y_mean": repr(q.y_mean),
-            "y_std": repr(q.y_std),
-        },
-    )
-    nn.save_net(q.net, os.path.join(directory, "q.nn"))
+    """Write ``q`` to ``directory``'s checkpoint file: its manifest, then its net."""
+    entries = {
+        "role": "q",
+        "input_dim": q.input_dim,
+        "x_mean": format_floats(q.x_mean),
+        "x_std": format_floats(q.x_std),
+        "y_mean": repr(q.y_mean),
+        "y_std": repr(q.y_std),
+    }
+    write_checkpoint(directory, entries, [q.net])
 
 
 def load_q(directory) -> QNetwork:
-    path = os.path.join(directory, "manifest.txt")
-    entries = read_manifest(path)
-    entries.expect("format", (FORMAT,))
+    entries, nets = read_checkpoint(directory)
+    path = entries.path
     entries.expect("role", ("q",))
     input_dim = entries.parse("input_dim", int)
-    net_path = os.path.join(directory, "q.nn")
-    net = nn.load_net(net_path)
+    if len(nets) != 1:
+        raise FormatError(f"{path}: holds {len(nets)} nets, but a Q checkpoint holds 1")
+    (net,) = nets
     if net.input_dim != input_dim:
-        raise FormatError(
-            f"{path}: key 'input_dim' = {input_dim}, but {net_path} takes {net.input_dim} inputs"
-        )
+        raise FormatError(f"{path}: key 'input_dim' = {input_dim}, but the net takes {net.input_dim} inputs")
     if net.output_dim != 1:
-        raise FormatError(f"{net_path}: holds a net with {net.output_dim} outputs, but a Q net has 1")
+        raise FormatError(f"{path}: holds a net with {net.output_dim} outputs, but a Q net has 1")
     if net.activation != "relu":  # fqe_train builds relu nets only
-        raise FormatError(f"{net_path}: holds a {net.activation} net, but a Q net is relu")
-    return QNetwork(
-        net,
-        entries.parse_vector("x_mean", "input_dim"),
-        entries.parse_vector("x_std", "input_dim"),
-        entries.parse("y_mean", float),
-        entries.parse("y_std", float),
-    )
+        raise FormatError(f"{path}: holds a {net.activation} net, but a Q net is relu")
+    return QNetwork(net, *entries.mean_std("x", "input_dim"), *entries.mean_std("y"))

@@ -6,11 +6,13 @@ import shutil
 
 import numpy as np
 import pytest
+from checkpoints import edit_lines, rewrite_checkpoint
 
 import mopp
 from mopp import adm, cli, config, data, envs, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
 from mopp.errors import ConfigError, FormatError
+from mopp.manifest import CHECKPOINT_FILE
 
 TINY_CONFIG = """\
 [run]
@@ -124,9 +126,8 @@ def test_gen_data_writes_loadable_dataset(pipeline_dir):
 
 def test_train_commands_write_checkpoints(pipeline_dir):
     out, _ = pipeline_dir
-    assert (out / "dynamics" / "manifest.txt").exists()
-    assert (out / "behavior" / "manifest.txt").exists()
-    assert (out / "q" / "manifest.txt").exists()
+    for directory in ("dynamics", "behavior", "q"):
+        assert [p.name for p in (out / directory).iterdir()] == [CHECKPOINT_FILE]
 
 
 def test_evaluate_row_counts_and_exit_code(pipeline_dir):
@@ -277,46 +278,50 @@ def test_manifest_missing_key_names_key_and_file(pipeline_dir, tmp_path, directo
     out, _ = pipeline_dir
     copy = tmp_path / directory
     shutil.copytree(out / directory, copy)
-    manifest = copy / "manifest.txt"
-    lines = manifest.read_text().splitlines(keepends=True)
-    manifest.write_text("".join(line for line in lines if not line.startswith(f"{key} =")))
+    path = rewrite_checkpoint(copy, edit_lines(lambda lines: [line for line in lines if not line.startswith(f"{key} =")]))
     load = value.load_q if directory == "q" else adm.load_ensemble
     with pytest.raises(FormatError, match=key) as info:
         load(copy)
-    assert str(manifest) in str(info.value)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
         "k = two", "k = -1", "activation = swish", "embed_width = 7", "sigma_min = 0.01", "sigma_max = 4.0",
-        "input_dim = 9 in q", "x_std = 1.5 in q", "delete q.nn",
+        "input_dim = 9 in q", "x_std = 1.5 in q", "drop the q net", "flip a dynamics net byte",
         "drop one x_mean", "drop one x_std", "drop one o_mean", "drop one o_std",
+        "o_std = nan,nan in behavior", "y_std = inf in q", "x_std = -1.0,-1.0,-1.0,-1.0,-1.0,-1.0 in q",
+        "x_std = 0,0,0,0,0,0",
     ],
 )
 def test_corrupt_checkpoint_is_format_error_without_traceback(pipeline_dir, tmp_path, capsys, edit):
     out, _ = pipeline_dir
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
-    if edit == "delete q.nn":
-        broken, needles = copy / "q" / "q.nn", ("q.nn",)
-        broken.unlink()
+    if edit == "drop the q net":
+        broken, needles = rewrite_checkpoint(copy / "q", lambda manifest, nets: (manifest, b"")), ("holds 0 nets",)
+    elif edit == "flip a dynamics net byte":  # the digest is left as it was
+        broken, needles = copy / "dynamics" / CHECKPOINT_FILE, ("SHA-256",)
+        blob = bytearray(broken.read_bytes())
+        blob[blob.index(b"MOPPNN1") + 100] ^= 1
+        broken.write_bytes(blob)
     elif edit.startswith("drop one "):  # a normalization vector one value short
         key = edit[len("drop one "):]
-        broken = copy / "dynamics" / "manifest.txt"
-        lines = broken.read_text().splitlines(keepends=True)
+        lines = (copy / "dynamics" / CHECKPOINT_FILE).read_bytes().partition(b"\0")[0].decode().splitlines()
         values = next(line for line in lines if line.startswith(f"{key} =")).split("=")[1].strip().split(",")
         dim_key = "input_dim" if key.startswith("x_") else "output_dim"
         needles = (key, f"holds {len(values) - 1} values", f"'{dim_key}' = {len(values)}")
-        broken.write_text("".join(
+        broken = rewrite_checkpoint(copy / "dynamics", edit_lines(lambda lines: [
             f"{key} = {','.join(values[1:])}\n" if line.startswith(f"{key} =") else line for line in lines
-        ))
+        ]))
     else:
-        edit, _, directory = edit.partition(" in ")  # the dynamics manifest unless named
+        edit, _, directory = edit.partition(" in ")  # the dynamics checkpoint unless named
         key, _, bad = edit.partition(" = ")
-        broken, needles = copy / (directory or "dynamics") / "manifest.txt", (key, bad)
-        lines = broken.read_text().splitlines(keepends=True)
-        broken.write_text("".join(f"{edit}\n" if line.startswith(f"{key} =") else line for line in lines))
+        needles = (key, bad)
+        broken = rewrite_checkpoint(copy / (directory or "dynamics"), edit_lines(lambda lines: [
+            f"{edit}\n" if line.startswith(f"{key} =") else line for line in lines
+        ]))
     code = cli.main(["evaluate", "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"])
     assert code == 1
     err = capsys.readouterr().err
@@ -441,7 +446,7 @@ def test_default_run_config_builds_the_library_defaults():
     assert config.planner_config(cfg, planner.PlannerConfig.uncertainty_threshold) == planner.PlannerConfig()
 
 
-ARTEFACT_DIRECTORIES = ["dynamics/manifest.txt", "q/manifest.txt", "behavior/member_001_head_01.nn"]
+ARTEFACT_DIRECTORIES = [f"{directory}/{CHECKPOINT_FILE}" for directory in ("dynamics", "q", "behavior")]
 
 
 @pytest.mark.parametrize("broken", ["config", "manifest", "dataset directory", *ARTEFACT_DIRECTORIES])
@@ -454,8 +459,8 @@ def test_unreadable_file_names_its_path_without_traceback(pipeline_dir, tmp_path
         bad, code, commands = cfg_path, 2, ("gen-data", "train-q", "evaluate", "ablate")
         cfg_path.write_bytes(cfg_path.read_bytes() + b"# caf\xe9\n")
     elif broken == "manifest":
-        bad, code, commands = copy / "dynamics" / "manifest.txt", 1, ("evaluate", "ablate")
-        bad.write_bytes(bad.read_bytes() + b"note = \xff\n")
+        bad, code, commands = copy / "dynamics" / CHECKPOINT_FILE, 1, ("evaluate", "ablate")
+        rewrite_checkpoint(copy / "dynamics", lambda manifest, nets: (manifest + b"note = \xff\n", nets))
     elif broken in ARTEFACT_DIRECTORIES:  # a directory in the file's place
         bad, code, commands = copy / broken, 1, ("evaluate", "ablate")
         bad.unlink()
@@ -468,6 +473,22 @@ def test_unreadable_file_names_its_path_without_traceback(pipeline_dir, tmp_path
         assert cli.main([command, "--config", str(cfg_path), "--out", str(copy), "--quiet"]) == code, command
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("directory, command", [("dynamics", "train-dynamics"), ("behavior", "train-behavior"), ("q", "train-q")])
+def test_checkpoint_directory_of_per_net_files_exits_2_naming_the_train_command(pipeline_dir, tmp_path, capsys, directory, command):
+    out, _ = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    old = copy / directory  # as the format-1 writer left it: manifest.txt and one file per net
+    manifest, _, nets = (old / CHECKPOINT_FILE).read_bytes().partition(b"\0")
+    (old / "manifest.txt").write_bytes(manifest.replace(b"format = 2\n", b"format = 1\n"))
+    (old / ("q.nn" if directory == "q" else "member_000_embed.nn")).write_bytes(nets)
+    (old / CHECKPOINT_FILE).unlink()
+    for evaluate_or_ablate in ("evaluate", "ablate"):
+        assert cli.main([evaluate_or_ablate, "--config", str(copy / "run.cfg"), "--out", str(copy), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"missing artifact {old / CHECKPOINT_FILE}; run `mopp {command}` first" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("v_cap, mode, key", [("0.5", "none", "v_cap"), ("", "velocity_rollout", "mode")])
@@ -673,10 +694,9 @@ def test_calibration_is_recomputed_when_an_input_changes(cold_run, monkeypatch, 
     assert cli.main(["evaluate", *base]) == 0
     stored = (run / cli.CALIBRATION_FILE).read_text()
     if change == "edit the last head net":  # the manifest stays as it is
-        path = run / "dynamics" / "member_001_head_04.nn"
-        net = nn.load_net(path)
-        net.weights[-1][0, 0] += 1.0
-        nn.save_net(net, path)
+        ensemble = adm.load_ensemble(run / "dynamics")
+        ensemble.members[-1].heads[-1].weights[-1][0, 0] += 1.0
+        adm.save_ensemble(ensemble, run / "dynamics")
     elif change == "edit the code":  # as if the rule's module had changed
         code = list(cli.CALIBRATION_CODE)
         i = [os.path.basename(path) for path in code].index("planner.py")

@@ -1,23 +1,30 @@
-"""Corrupted artefact files: each load returns or raises a FormatError, never another exception."""
+"""Corrupted and half-written artefact files.
+
+A corrupted dataset loads or raises a FormatError, never another exception.
+A checkpoint with any byte changed or cut off raises a FormatError, and a
+save that fails partway leaves the previous checkpoint as it was.
+"""
 
 import os
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mopp import adm, data, envs, value
+from mopp import adm, data, envs, nn, value
 from mopp.errors import FormatError
-from mopp.manifest import read_manifest
+from mopp.manifest import CHECKPOINT_FILE, read_manifest
 
-# The dynamics ensemble has 2 members of 5 heads (|S| + 1 outputs on the point mass).
-ENSEMBLE_FILES = [os.path.basename(p) for p in adm.ensemble_files("", 2, 5)]
-LOADS = {"data.ds": data.load_dataset, "dynamics": adm.load_ensemble, "q": value.load_q}
-# an offset into the file (taken modulo its length), and the byte set there or None to cut the file at it
+LOADS = {"dynamics": adm.load_ensemble, "q": value.load_q}
+SAVES = {"dynamics": adm.save_ensemble, "q": value.save_q}
+# an offset into the file (taken modulo its length), and the byte set there (for a dataset) or XORed
+# into it (for a checkpoint, so that it changes), or None to cut the file at the offset
 OFFSETS = st.integers(0, 1 << 16)
 BYTES = st.none() | st.integers(0, 255)
+FLIPS = st.none() | st.integers(1, 255)
 FUZZ = settings(max_examples=150, deadline=None)
 
 
@@ -42,35 +49,21 @@ def test_manifest_lines_split_as_text_mode_open_splits_them(tmp_path):
     assert read_manifest(path) == {"a": "1", "b": "2", "c": "x\x0cy\u2028z", "d": "4"}
 
 
-def load_corrupted(saved, target: str, name: str, offset: int, byte) -> None:
-    """Load a copy of ``target`` whose file ``name`` is cut at ``offset``, or has ``byte`` there.
-
-    A load may return or raise a FormatError. A manifest that loads must
-    still declare the format and role it was saved with, and a Q that loads
-    must hold a relu net.
-    """
-    with tempfile.TemporaryDirectory() as scratch:
-        copy = os.path.join(scratch, target)
-        (shutil.copytree if os.path.isdir(saved / target) else shutil.copyfile)(saved / target, copy)
-        path = os.path.join(copy, name) if name != target else copy
-        with open(path, "rb") as f:
-            blob = bytearray(f.read())
-        offset %= len(blob)
-        if byte is None:
-            del blob[offset:]
-        else:
-            blob[offset] = byte
-        with open(path, "wb") as f:
-            f.write(blob)
-        try:
-            loaded = LOADS[target](copy)
-        except FormatError:
-            return
-        if target == "q":
-            assert loaded.net.activation == "relu"
-        if name == "manifest.txt":
-            got, want = read_manifest(path), read_manifest(saved / target / name)
-            assert (got["format"], got["role"]) == (want["format"], want["role"])
+def corrupted_copy(saved, target: str, scratch: str, offset: int, byte, xor: bool = False) -> str:
+    """A copy of ``target`` under ``scratch``, its file cut at ``offset`` or with ``byte`` set there (XORed if ``xor``)."""
+    copy = os.path.join(scratch, target)
+    (shutil.copytree if os.path.isdir(saved / target) else shutil.copyfile)(saved / target, copy)
+    path = os.path.join(copy, CHECKPOINT_FILE) if os.path.isdir(copy) else copy
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
+    offset %= len(blob)
+    if byte is None:
+        del blob[offset:]
+    else:
+        blob[offset] = blob[offset] ^ byte if xor else byte
+    with open(path, "wb") as f:
+        f.write(blob)
+    return copy
 
 
 @FUZZ
@@ -78,20 +71,67 @@ def load_corrupted(saved, target: str, name: str, offset: int, byte) -> None:
 @example(offset=15, byte=0x80)  # the high byte of the header's state dimension
 @example(offset=19, byte=0x80)  # the high byte of the header's action dimension
 def test_corrupted_dataset_loads_or_raises_format_error(saved, offset, byte):
-    load_corrupted(saved, "data.ds", "data.ds", offset, byte)
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            data.load_dataset(corrupted_copy(saved, "data.ds", scratch, offset, byte))
+        except FormatError:
+            pass
+
+
+def load_corrupted_checkpoint(saved, target: str, offset: int, flip) -> None:
+    """Loading a copy of checkpoint ``target`` cut at ``offset``, or with a byte changed there, raises a FormatError."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = corrupted_copy(saved, target, scratch, offset, flip, xor=True)
+        with pytest.raises(FormatError, match=CHECKPOINT_FILE):
+            LOADS[target](copy)
 
 
 @FUZZ
-@given(name=st.sampled_from(ENSEMBLE_FILES), offset=OFFSETS, byte=BYTES)
-@example(name="manifest.txt", offset=25, byte=ord("r"))  # role = dynamicr
-@example(name="manifest.txt", offset=9, byte=ord("9"))  # format = 9
-def test_corrupted_ensemble_loads_or_raises_format_error(saved, name, offset, byte):
-    load_corrupted(saved, "dynamics", name, offset, byte)
+@given(offset=OFFSETS, flip=FLIPS)
+@example(offset=9, flip=ord("2") ^ ord("1"))  # format = 1
+@example(offset=-1, flip=None)  # the last byte of the digest cut off
+@example(offset=-1, flip=1)  # the last byte of the digest changed
+def test_corrupted_ensemble_raises_format_error(saved, offset, flip):
+    load_corrupted_checkpoint(saved, "dynamics", offset, flip)
 
 
 @FUZZ
-@given(name=st.sampled_from(["manifest.txt", "q.nn"]), offset=OFFSETS, byte=BYTES)
-@example(name="manifest.txt", offset=9, byte=ord("9"))  # format = 9
-@example(name="q.nn", offset=24, byte=1)  # the activation tag of the [6, 3, 1] net: tanh
-def test_corrupted_q_loads_or_raises_format_error(saved, name, offset, byte):
-    load_corrupted(saved, "q", name, offset, byte)
+@given(offset=OFFSETS, flip=FLIPS)
+@example(offset=9, flip=ord("2") ^ ord("1"))  # format = 1
+@example(offset=-32, flip=None)  # the whole digest cut off
+def test_corrupted_q_raises_format_error(saved, offset, flip):
+    load_corrupted_checkpoint(saved, "q", offset, flip)
+
+
+def failing_fsync(fd):
+    raise OSError("disk full")
+
+
+def failing_write_net(write, net):
+    write(nn.NET_MAGIC)  # part of a record
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", [(os, "fsync", failing_fsync), (nn, "write_net", failing_write_net)], ids=["fsync", "net record"])
+@pytest.mark.parametrize("target", ["dynamics", "q"])
+def test_failed_save_keeps_the_previous_checkpoint(saved, tmp_path, monkeypatch, target, failure):
+    copy = tmp_path / target
+    shutil.copytree(saved / target, copy)
+    before = (copy / CHECKPOINT_FILE).read_bytes()
+    model = LOADS[target](copy)
+    params = adm_or_q_params(model)
+    saved_params = [p.copy() for p in params]
+    for p in params:
+        p += 1.0  # a different model to save over it
+    with monkeypatch.context() as m:
+        m.setattr(*failure)
+        with pytest.raises(OSError, match="disk full"):
+            SAVES[target](model, copy)
+    assert [p.name for p in copy.iterdir()] == [CHECKPOINT_FILE]
+    assert (copy / CHECKPOINT_FILE).read_bytes() == before
+    for got, want in zip(adm_or_q_params(LOADS[target](copy)), saved_params, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def adm_or_q_params(model) -> list:
+    return model.net.params() if isinstance(model, value.QNetwork) else [p for m in model.members for p in m.params()]

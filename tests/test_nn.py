@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopp import nn
+from checkpoints import rewrite_checkpoint
+from mopp import manifest, nn
 from mopp.errors import FormatError
 from reference import GaussianParams, backward_from_preactivations, gaussian_nll
 
@@ -327,57 +328,58 @@ def test_adam_state_accumulator_shapes_track_params():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch):
-    net = nn.DenseNet([3, 7, 2], activation="tanh", rng=13)
-    p1 = tmp_path / "a.nn"
-    p2 = tmp_path / "b.nn"
-    nn.save_net(net, p1)
-    with monkeypatch.context() as m:  # loading builds the net from the file's arrays alone
+    nets = [nn.DenseNet([3, 7, 2], activation="tanh", rng=13), nn.DenseNet([2, 2], rng=1)]
+    manifest.write_checkpoint(tmp_path / "a", {"role": "test"}, nets)
+    with monkeypatch.context() as m:  # loading builds the nets from the file's arrays alone
         m.setattr(nn.DenseNet, "__init__", None)
-        loaded = nn.load_net(p1)
-    nn.save_net(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert loaded.layer_sizes == net.layer_sizes
-    assert loaded.activation == net.activation
-    for a, b in zip(net.params(), loaded.params()):
-        np.testing.assert_array_equal(a, b)
+        entries, loaded = manifest.read_checkpoint(tmp_path / "a")
+    manifest.write_checkpoint(tmp_path / "b", entries, loaded)
+    assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (tmp_path / "b" / "checkpoint.bin").read_bytes()
+    assert entries == {"format": manifest.FORMAT, "role": "test"}
+    for net, got in zip(nets, loaded, strict=True):
+        assert (got.layer_sizes, got.activation) == (net.layer_sizes, net.activation)
+        for a, b in zip(net.params(), got.params()):
+            np.testing.assert_array_equal(a, b)
+
+
+def saved_checkpoint(directory, *layer_sizes) -> int:
+    """Save a checkpoint of nets of ``layer_sizes`` to ``directory``; returns the byte offset of the first net."""
+    manifest.write_checkpoint(directory, {"role": "test"}, [nn.DenseNet(sizes, rng=1) for sizes in layer_sizes])
+    return (directory / "checkpoint.bin").read_bytes().index(b"\0") + 1
 
 
 def test_checkpoint_bad_magic(tmp_path):
-    p = tmp_path / "bad.nn"
-    p.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(FormatError, match="offset 0"):
-        nn.load_net(p)
+    start = saved_checkpoint(tmp_path, [3, 5, 2])
+    rewrite_checkpoint(tmp_path, lambda text, nets: (text, b"NOTMAGIC" + nets[8:]))
+    with pytest.raises(FormatError, match=f"bad magic at byte offset {start}$"):
+        manifest.read_checkpoint(tmp_path)
 
 
 def test_checkpoint_truncation_names_offset(tmp_path):
-    net = nn.DenseNet([3, 5, 2], rng=1)
-    p = tmp_path / "net.nn"
-    nn.save_net(net, p)
-    blob = p.read_bytes()
-    cut = p.with_suffix(".cut")
-    cut.write_bytes(blob[: len(blob) - 7])
-    with pytest.raises(FormatError, match="byte offset"):
-        nn.load_net(cut)
+    start = saved_checkpoint(tmp_path, [2, 2], [3, 5, 2])
+    second = start + 8 + 4 + 4 * 2 + 1 + 4 * (2 * 2 + 2)  # after the first net's magic, sizes, tag and params
+    path = rewrite_checkpoint(tmp_path, lambda text, nets: (text, nets[:-7]))
+    end = path.stat().st_size - manifest.DIGEST_SIZE
+    with pytest.raises(FormatError, match=f"net record at byte offset {second} is truncated at byte offset {end}$"):
+        manifest.read_checkpoint(tmp_path)
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
-    net = nn.DenseNet([2, 2], rng=1)
-    p = tmp_path / "net.nn"
-    nn.save_net(net, p)
-    p.write_bytes(p.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
-        nn.load_net(p)
+    saved_checkpoint(tmp_path, [2, 2])
+    end = (tmp_path / "checkpoint.bin").stat().st_size - manifest.DIGEST_SIZE
+    rewrite_checkpoint(tmp_path, lambda text, nets: (text, nets + b"\0"))
+    with pytest.raises(FormatError, match=f"net record at byte offset {end} is truncated at byte offset {end + 1}$"):
+        manifest.read_checkpoint(tmp_path)
+    rewrite_checkpoint(tmp_path, lambda text, nets: (text, nets[:-1] + b"trailing bytes"))  # in place of the NUL above
+    with pytest.raises(FormatError, match=f"bad magic at byte offset {end}$"):
+        manifest.read_checkpoint(tmp_path)
 
 
 def test_checkpoint_zero_layer_size_names_offset(tmp_path):
-    net = nn.DenseNet([3, 5, 2], rng=1)
-    p = tmp_path / "net.nn"
-    nn.save_net(net, p)
-    blob = bytearray(p.read_bytes())
-    blob[16:20] = (0).to_bytes(4, "little")  # the hidden size, second of three
-    p.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="zero layer size at byte offset 16"):
-        nn.load_net(p)
+    start = saved_checkpoint(tmp_path, [3, 5, 2])
+    rewrite_checkpoint(tmp_path, lambda text, nets: (text, nets[:16] + bytes(4) + nets[20:]))  # the hidden size
+    with pytest.raises(FormatError, match=f"zero layer size at byte offset {start + 16}$"):
+        manifest.read_checkpoint(tmp_path)
 
 
 def test_copy_is_an_independent_equal_net():

@@ -243,12 +243,12 @@ def test_q_checkpoint_round_trip(tmp_path):
 
 def test_load_q_rejects_a_net_of_more_than_one_output(tmp_path):
     value.save_q(value.QNetwork(nn.DenseNet([6, 4, 2], rng=0), np.zeros(6), np.ones(6)), tmp_path)
-    with pytest.raises(FormatError, match=r"q\.nn: holds a net with 2 outputs"):
+    with pytest.raises(FormatError, match=r"checkpoint\.bin: holds a net with 2 outputs"):
         value.load_q(tmp_path)
 
 
 def test_load_q_rejects_a_tanh_net_naming_its_file(tmp_path):
     net = nn.DenseNet([6, 4, 1], activation="tanh", rng=0)
     value.save_q(value.QNetwork(net, np.zeros(6), np.ones(6)), tmp_path)
-    with pytest.raises(FormatError, match=r"q\.nn: holds a tanh net"):
+    with pytest.raises(FormatError, match=r"checkpoint\.bin: holds a tanh net"):
         value.load_q(tmp_path)
