@@ -28,7 +28,7 @@ from .config import (
     planner_config,
 )
 from .errors import ConfigError, FormatError, MoppError
-from .manifest import CHECKPOINT_FILE, read_manifest, stored_digest
+from .manifest import CHECKPOINT_FILE, atomic_write, read_file, read_manifest, stored_digest
 
 CALIBRATION_FILE = "calibration.txt"
 # The calibration key covers every module of the package, so an edit to the
@@ -146,8 +146,8 @@ def _load_planner_inputs(cfg: RunConfig, out_dir: str, fields: list):
 def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamics):
     """The `l = auto` threshold, computed once per dataset, dynamics checkpoint and code.
 
-    ``<out>/calibration.txt`` stores it with a key over the dataset's bytes,
-    the checkpoint's stored digest, and the code. A missing,
+    ``<out>/calibration.txt`` stores it with a key over the code and the
+    digests stored in the dataset and checkpoint files. A missing,
     unreadable, malformed or stale file is recomputed and rewritten: it holds
     derived data only. Returns (threshold, how it was obtained).
     """
@@ -163,14 +163,12 @@ def _calibrated_threshold(out_dir: str, dataset_path: str, dyn_dir: str, dynamic
 
 
 def _calibration_key(dataset_path: str, dyn_dir: str) -> str:
-    """SHA-256 over numpy's version, the code and dataset files (each framed by name and size) and the checkpoint's digest."""
+    """SHA-256 over numpy's version, each code file framed by name and size, and the dataset's and checkpoint's stored digests."""
     h = hashlib.sha256(np.__version__.encode())
-    for path in (*CALIBRATION_CODE, dataset_path):
-        with data.open_file(path) as f:
-            size = os.fstat(f.fileno()).st_size
-            h.update(f"\n{os.path.basename(path)} {size}\n".encode())
-            data.hash_file(h, f, size)
-    h.update(stored_digest(dyn_dir))
+    for path in CALIBRATION_CODE:
+        code = read_file(path)
+        h.update(f"\n{os.path.basename(path)} {len(code)}\n".encode() + code)
+    h.update(stored_digest(dataset_path) + stored_digest(os.path.join(dyn_dir, CHECKPOINT_FILE)))
     return h.hexdigest()
 
 
@@ -242,7 +240,7 @@ def cmd_train_q(args) -> int:
 
 def _write_text(path: str, text: str) -> None:
     """Write a text file crash-safe: ``path`` holds the old file or the whole new one."""
-    with data.atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 
 

@@ -170,6 +170,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[run] {err}") from None
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
+    for section, key in (("run", "seeds"), ("ablate", "values"), ("ablate", "variants")):
+        f = _SCHEMA[section][key]
+        values = getattr(cfg, f.name)
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ConfigError(f"[{section}] {key} = {_format_value(cfg, f)}: {v} is listed more than once")
     if cfg.episodes < 1 or cfg.data_episodes < 1:
         raise ConfigError("episode counts must be positive")
     bad = [v for v in cfg.ablate_variants if v not in ABLATE_VARIANTS]

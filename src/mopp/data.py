@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
-import os
-import struct
-
 import numpy as np
 
 from .errors import DataError, FormatError
-
-DATASET_MAGIC = b"MOPPDS1\x00"
-DATASET_VERSION = 1
-_HEADER = struct.Struct("<IIIII")  # version, state dim, action dim, count, episodes
+from .manifest import open_file, read_artefact, write_artefact
 
 
 class Dataset:
@@ -106,6 +99,7 @@ def generate_dataset(env, policy, episodes: int, seed: int = 0) -> Dataset:
 
 
 def _record_dtype(state_dim: int, action_dim: int) -> np.dtype:
+    """A packed record of one transition; its fields are in the order of :class:`Dataset`'s columns."""
     return np.dtype(
         [
             ("s", "<f4", (state_dim,)),
@@ -118,109 +112,41 @@ def _record_dtype(state_dim: int, action_dim: int) -> np.dtype:
     )
 
 
-@contextlib.contextmanager
-def atomic_write(path, mode: str = "wb", **open_kwargs):
-    """Open a temp file next to ``path`` for writing; on a clean exit, move it over ``path``.
-
-    The temp file is flushed and synced before ``os.replace``, so ``path``
-    always holds a whole file: the old one or the new one. A failure at any
-    point removes the temp file and re-raises. A directory at ``path`` is a
-    FormatError, raised before the temp file is made.
-    """
-    if os.path.isdir(path):
-        raise FormatError(f"{path}: is a directory, so no file can be written there")
-    head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as f:
-            yield f
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-@contextlib.contextmanager
-def open_file(path):
-    """``path`` opened for binary reading; an OSError in opening or reading it is a FormatError naming it."""
-    try:
-        with open(path, "rb") as f:
-            yield f
-    except OSError as err:
-        raise FormatError(f"{path}: cannot read ({err.strerror})") from None
-
-
-def read_file(path) -> bytes:
-    """The bytes of the file at ``path`` (see :func:`open_file`)."""
-    with open_file(path) as f:
-        return f.read()
-
-
-def hash_file(h, f, size: int) -> None:
-    """Feed the next ``size`` bytes of the binary file ``f`` (fewer at its end) to the hash ``h``, a MiB at a time."""
-    for start in range(0, size, 1 << 20):
-        h.update(f.read(min(1 << 20, size - start)))
-
-
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``dataset`` to ``path`` crash-safe (see :func:`atomic_write`)."""
+    """Write ``dataset`` to the artefact file ``path`` (see :func:`manifest.write_artefact`): its sizes, then its records."""
     rec = np.zeros(len(dataset), dtype=_record_dtype(dataset.state_dim, dataset.action_dim))
-    rec["s"] = dataset.states
-    rec["a"] = dataset.actions
-    rec["r"] = dataset.rewards
-    rec["sn"] = dataset.next_states
-    rec["done"] = dataset.dones.astype(np.uint8)
-    rec["ep"] = dataset.episode_ids
-    with atomic_write(path) as f:
-        f.write(DATASET_MAGIC)
-        f.write(
-            _HEADER.pack(
-                DATASET_VERSION,
-                dataset.state_dim,
-                dataset.action_dim,
-                len(dataset),
-                dataset.n_episodes,
-            )
-        )
-        f.write(rec.tobytes())
+    columns = (dataset.states, dataset.actions, dataset.rewards, dataset.next_states, dataset.dones, dataset.episode_ids)
+    for name, column in zip(rec.dtype.names, columns):
+        rec[name] = column
+    entries = {"role": "dataset", "state_dim": dataset.state_dim, "action_dim": dataset.action_dim,
+               "count": len(dataset), "episodes": dataset.n_episodes}
+    write_artefact(path, entries, lambda write: write(rec.view(np.uint8)))
 
 
 def load_dataset(path) -> Dataset:
-    data = read_file(path)
-    if data[:8] != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0")
-    if len(data) < 8 + _HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    version, state_dim, action_dim, count, episodes = _HEADER.unpack_from(data, 8)
-    if version != DATASET_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 8")
-    body = 8 + _HEADER.size
+    """The dataset in the artefact file ``path``, once its digest matches (see :func:`manifest.read_artefact`)."""
+    with open_file(path) as f:
+        if f.read(8) == b"MOPPDS1\0":  # how a dataset file of the earlier header format begins
+            raise FormatError(f"{path}: a dataset file of an earlier format; run `mopp gen-data` to write it again")
+    return read_artefact(path, _read_records)[1]
+
+
+def _read_records(entries, f, end: int) -> Dataset:
+    """The dataset whose records ``f`` holds up to byte offset ``end``, as the manifest ``entries`` describes them."""
+    path = entries.path
+    entries.expect("role", ("dataset",))
+    state_dim, action_dim, count, episodes = (entries.parse(k, int) for k in ("state_dim", "action_dim", "count", "episodes"))
     # a record (float32 s, a, r and s', u8 done, u32 episode id) must fit numpy's C-int dtype size
-    if 4 * (2 * state_dim + action_dim + 1) + 5 > np.iinfo(np.intc).max:
-        raise FormatError(f"{path}: dimensions {state_dim} and {action_dim} at byte offset 12 are too large")
-    dtype = _record_dtype(state_dim, action_dim)
-    expected = body + count * dtype.itemsize
-    if len(data) != expected:
-        bad = min(len(data), expected)
+    if min(state_dim, action_dim) < 0 or 4 * (2 * state_dim + action_dim + 1) + 5 > np.iinfo(np.intc).max:
+        raise FormatError(f"{path}: keys 'state_dim' = {state_dim} and 'action_dim' = {action_dim} do not fit a record")
+    dtype, size = _record_dtype(state_dim, action_dim), end - f.tell()
+    if count * dtype.itemsize != size:
         raise FormatError(
-            f"{path}: expected {expected} bytes for {count} records, "
-            f"got {len(data)} (error at byte offset {bad})"
+            f"{path}: key 'count' = {count} describes {count * dtype.itemsize} bytes of records; the payload holds {size}"
         )
-    rec = np.frombuffer(data, dtype=dtype, count=count, offset=body)
-    ds = Dataset(
-        rec["s"].reshape(count, state_dim),
-        rec["a"].reshape(count, action_dim),
-        rec["r"],
-        rec["sn"].reshape(count, state_dim),
-        rec["done"].astype(bool),
-        rec["ep"],
-    )
+    rec = np.empty(count, dtype=dtype)
+    f.readinto(rec.view(np.uint8))
+    ds = Dataset(*(rec[name] for name in dtype.names))
     if ds.n_episodes != episodes:
-        raise FormatError(
-            f"{path}: header claims {episodes} episodes, records contain "
-            f"{ds.n_episodes} (error at byte offset 20)"
-        )
+        raise FormatError(f"{path}: key 'episodes' = {episodes}, but the records hold {ds.n_episodes} episodes")
     return ds

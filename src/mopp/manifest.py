@@ -1,12 +1,16 @@
-"""Checkpoint files, and the flat key-value text of their manifests.
+"""Artefact files, and the flat key-value text of their manifests.
 
-A checkpoint directory holds one file, ``checkpoint.bin``: the manifest's
-``key = value`` lines, a NUL byte, each net's record (see
-:func:`nn.write_net`), then the SHA-256 of every byte before it.
+Every binary artefact is one file: its manifest's ``key = value`` lines,
+``format`` first, a NUL byte, its payload, then the SHA-256 of every byte
+before it. A dataset's payload is its packed records (see
+:func:`data.save_dataset`). A checkpoint directory holds one artefact file,
+``checkpoint.bin``, whose payload is each net's record (see
+:func:`nn.write_net`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
@@ -14,10 +18,9 @@ import os
 import numpy as np
 
 from . import nn
-from .data import atomic_write, hash_file, open_file, read_file
 from .errors import FormatError
 
-FORMAT = "2"  # the value of key 'format' in the checkpoint manifests this version writes and reads
+FORMAT = "2"  # the value of key 'format' in the artefact manifests this version writes and reads
 CHECKPOINT_FILE = "checkpoint.bin"
 DIGEST_SIZE = hashlib.sha256().digest_size
 
@@ -39,32 +42,77 @@ def parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def write_checkpoint(directory, entries: dict, nets) -> None:
-    """Write ``directory``'s checkpoint file crash-safe (see :func:`data.atomic_write`), ``format`` first."""
-    os.makedirs(directory, exist_ok=True)
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temp file next to ``path`` for writing; on a clean exit, move it over ``path``.
+
+    The temp file is flushed and synced before ``os.replace``, so ``path``
+    always holds a whole file: the old one or the new one. A failure at any
+    point removes the temp file and re-raises. A directory at ``path`` is a
+    FormatError, raised before the temp file is made.
+    """
+    if os.path.isdir(path):
+        raise FormatError(f"{path}: is a directory, so no file can be written there")
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def open_file(path):
+    """``path`` opened for binary reading; an OSError in opening or reading it is a FormatError naming it."""
+    try:
+        with open(path, "rb") as f:
+            yield f
+    except OSError as err:
+        raise FormatError(f"{path}: cannot read ({err.strerror})") from None
+
+
+def read_file(path) -> bytes:
+    """The bytes of the file at ``path`` (see :func:`open_file`)."""
+    with open_file(path) as f:
+        return f.read()
+
+
+def write_artefact(path, entries: dict, payload) -> None:
+    """Write the artefact file ``path`` crash-safe (see :func:`atomic_write`).
+
+    Its manifest holds ``format``, then ``entries``; its payload is the bytes
+    that ``payload(write)`` passes to ``write``.
+    """
     h = hashlib.sha256()
-    with atomic_write(os.path.join(directory, CHECKPOINT_FILE)) as f:
+    with atomic_write(path) as f:
 
         def write(blob) -> None:
             h.update(blob)
             f.write(blob)
 
         write("".join(f"{k} = {v}\n" for k, v in {"format": FORMAT, **entries}.items()).encode() + b"\0")
-        for net in nets:
-            nn.write_net(write, net)
+        payload(write)
         f.write(h.digest())
 
 
-def read_checkpoint(directory):
-    """The manifest and the nets of ``directory``'s checkpoint file, once its digest matches its bytes.
+def read_artefact(path, payload):
+    """The manifest of the artefact file ``path`` and ``payload(manifest, f, end)``, once its digest matches its bytes.
 
-    A file that does not, or that does not parse, is a FormatError naming it.
+    ``payload`` reads the payload from the binary file ``f``, from its
+    position to byte offset ``end``. A file whose digest does not match, or
+    that does not parse, is a FormatError naming it.
     """
-    path = os.path.join(directory, CHECKPOINT_FILE)
     with open_file(path) as f:
         body = max(os.fstat(f.fileno()).st_size - DIGEST_SIZE, 0)
         h = hashlib.sha256()
-        hash_file(h, f, body)
+        for start in range(0, body, 1 << 20):
+            h.update(f.read(min(1 << 20, body - start)))
         if f.read() != h.digest():
             raise FormatError(f"{path}: the bytes before byte offset {body} do not match the SHA-256 after them")
         f.seek(0)
@@ -74,17 +122,37 @@ def read_checkpoint(directory):
         f.seek(len(text) + 1)
         entries = Manifest(path, text)
         entries.expect("format", (FORMAT,))
-        nets = []
-        while f.tell() < body:
-            nets.append(nn.read_net(f, path, body))
-    return entries, nets
+        return entries, payload(entries, f, body)
 
 
-def stored_digest(directory) -> bytes:
-    """The SHA-256 that ends ``directory``'s checkpoint file, as :func:`read_checkpoint` checks it."""
-    with open_file(os.path.join(directory, CHECKPOINT_FILE)) as f:
-        f.seek(-DIGEST_SIZE, os.SEEK_END)
+def stored_digest(path) -> bytes:
+    """The SHA-256 that ends the artefact file ``path``, unchecked (see :func:`read_artefact`); all of a shorter file."""
+    with open_file(path) as f:
+        f.seek(max(os.fstat(f.fileno()).st_size - DIGEST_SIZE, 0))
         return f.read()
+
+
+def write_checkpoint(directory, entries: dict, nets) -> None:
+    """Write ``directory``'s checkpoint file: an artefact file whose payload is the record of each of ``nets``."""
+    os.makedirs(directory, exist_ok=True)
+
+    def records(write) -> None:
+        for net in nets:
+            nn.write_net(write, net)
+
+    write_artefact(os.path.join(directory, CHECKPOINT_FILE), entries, records)
+
+
+def read_checkpoint(directory):
+    """The manifest and the nets of ``directory``'s checkpoint file (see :func:`read_artefact`)."""
+
+    def records(entries, f, end) -> list:
+        nets = []
+        while f.tell() < end:
+            nets.append(nn.read_net(f, entries.path, end))
+        return nets
+
+    return read_artefact(os.path.join(directory, CHECKPOINT_FILE), records)
 
 
 class Manifest(dict):

@@ -1,8 +1,8 @@
-"""Edit a saved checkpoint file and write the digest of its new bytes.
+"""Edit a saved artefact file (a dataset or a checkpoint) and write the digest of its new bytes.
 
-A checkpoint whose bytes do not match its digest fails to load before any
-other check runs. Tests that corrupt one part of a checkpoint on purpose,
-to reach the check of that part, edit it through :func:`rewrite_checkpoint`.
+An artefact file whose bytes do not match its digest fails to load before
+any other check runs. Tests that corrupt one part of a file on purpose, to
+reach the check of that part, edit it through :func:`rewrite_artefact`.
 """
 
 import hashlib
@@ -11,23 +11,27 @@ from mopp.manifest import CHECKPOINT_FILE, DIGEST_SIZE
 
 
 def rewrite_checkpoint(directory, edit):
-    """Replace the checkpoint's manifest and net bytes by ``edit(manifest, nets)``, then its digest.
+    """:func:`rewrite_artefact` on ``directory``'s checkpoint file, whose payload is its nets."""
+    return rewrite_artefact(directory / CHECKPOINT_FILE, edit)
 
-    ``manifest`` is the bytes before the NUL, ``nets`` those after it and
+
+def rewrite_artefact(path, edit):
+    """Replace the artefact file's manifest and payload bytes by ``edit(manifest, payload)``, then its digest.
+
+    ``manifest`` is the bytes before the NUL, ``payload`` those after it and
     before the digest; ``edit`` returns the pair to write. Returns the path.
     """
-    path = directory / CHECKPOINT_FILE
-    manifest, _, nets = path.read_bytes()[:-DIGEST_SIZE].partition(b"\0")
-    body = b"\0".join(edit(manifest, nets))
+    manifest, _, payload = path.read_bytes()[:-DIGEST_SIZE].partition(b"\0")
+    body = b"\0".join(edit(manifest, payload))
     path.write_bytes(body + hashlib.sha256(body).digest())
     return path
 
 
 def edit_lines(edit):
-    """An ``edit`` for :func:`rewrite_checkpoint` that maps the manifest's text lines through ``edit(lines)``."""
+    """An ``edit`` for :func:`rewrite_artefact` that maps the manifest's text lines through ``edit(lines)``."""
 
-    def apply(manifest, nets):
+    def apply(manifest, payload):
         lines = manifest.decode().splitlines(keepends=True)
-        return "".join(edit(lines)).encode(), nets
+        return "".join(edit(lines)).encode(), payload
 
     return apply

@@ -3,6 +3,7 @@ import multiprocessing.connection
 import os
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import mopp
 from mopp import adm, cli, config, data, envs, nn, planner, value
 from mopp.config import RunConfig, default_config_text, load_config
 from mopp.errors import ConfigError, FormatError
-from mopp.manifest import CHECKPOINT_FILE
+from mopp.manifest import CHECKPOINT_FILE, DIGEST_SIZE
 
 TINY_CONFIG = """\
 [run]
@@ -565,6 +566,23 @@ def test_negative_seed_fails_before_work(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize(
+    "old, new, needle",
+    [
+        ("seeds = 0", "seeds = 0,1,0", "[run] seeds = 0,1,0: 0 is listed more than once"),
+        ("values = 0.1,0.5", "values = 0.5,0.1,0.50", "[ablate] values = 0.5,0.1,0.5: 0.5 is listed more than once"),
+        ("variants = full,noP", "variants = noP,full, noP", "[ablate] variants = noP,full,noP: noP is listed more than once"),
+    ],
+)
+def test_repeated_list_entry_exits_2_naming_key_and_value(tmp_path, capsys, old, new, needle):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace(old, new))
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 @pytest.mark.parametrize("command, target", [("gen-data", "data.ds"), ("evaluate", "results.csv")])
 def test_directory_at_a_write_target_is_format_error(pipeline_dir, tmp_path, capsys, command, target):
     out, _ = pipeline_dir
@@ -680,6 +698,22 @@ def test_calibration_is_computed_once_and_reused(cold_run, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count(f"read from {path}") == 2
     assert [(run / name).read_bytes() for name in CSV_NAMES] == cold
+
+
+@pytest.mark.parametrize("records", ["the fixture's", "none"])  # none: a 28-byte file, shorter than a digest
+def test_dataset_of_the_earlier_format_exits_1_naming_gen_data(cold_run, capsys, records):
+    run, base = cold_run
+    path = run / "data.ds"
+    ds = data.load_dataset(path)
+    payload = path.read_bytes()[:-DIGEST_SIZE].partition(b"\0")[2] if records != "none" else b""
+    count, episodes = (len(ds), ds.n_episodes) if payload else (0, 0)
+    header = struct.pack("<IIIII", 1, ds.state_dim, ds.action_dim, count, episodes)  # version 1
+    path.write_bytes(b"MOPPDS1\0" + header + payload)  # the same records in the earlier header format
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*`mopp gen-data`"):
+        data.load_dataset(path)
+    assert cli.main(["evaluate", *base, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "`mopp gen-data`" in err and "Traceback" not in err
 
 
 def test_calibration_key_covers_the_code_the_rule_runs():

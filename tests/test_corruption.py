@@ -1,11 +1,12 @@
 """Corrupted and half-written artefact files.
 
-A corrupted dataset loads or raises a FormatError, never another exception.
-A checkpoint with any byte changed or cut off raises a FormatError, and a
-save that fails partway leaves the previous checkpoint as it was.
+A dataset or checkpoint with any byte changed or cut off raises a
+FormatError naming its file, and a save that fails partway leaves the
+previous checkpoint as it was.
 """
 
 import os
+import re
 import shutil
 import tempfile
 
@@ -18,12 +19,11 @@ from mopp import adm, data, envs, nn, value
 from mopp.errors import FormatError
 from mopp.manifest import CHECKPOINT_FILE, read_manifest
 
-LOADS = {"dynamics": adm.load_ensemble, "q": value.load_q}
+LOADS = {"data.ds": data.load_dataset, "dynamics": adm.load_ensemble, "q": value.load_q}
 SAVES = {"dynamics": adm.save_ensemble, "q": value.save_q}
-# an offset into the file (taken modulo its length), and the byte set there (for a dataset) or XORed
-# into it (for a checkpoint, so that it changes), or None to cut the file at the offset
+# an offset into the file (taken modulo its length), and the byte XORed into it there (so that it
+# changes), or None to cut the file at the offset
 OFFSETS = st.integers(0, 1 << 16)
-BYTES = st.none() | st.integers(0, 255)
 FLIPS = st.none() | st.integers(1, 255)
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -49,41 +49,31 @@ def test_manifest_lines_split_as_text_mode_open_splits_them(tmp_path):
     assert read_manifest(path) == {"a": "1", "b": "2", "c": "x\x0cy\u2028z", "d": "4"}
 
 
-def corrupted_copy(saved, target: str, scratch: str, offset: int, byte, xor: bool = False) -> str:
-    """A copy of ``target`` under ``scratch``, its file cut at ``offset`` or with ``byte`` set there (XORed if ``xor``)."""
-    copy = os.path.join(scratch, target)
-    (shutil.copytree if os.path.isdir(saved / target) else shutil.copyfile)(saved / target, copy)
-    path = os.path.join(copy, CHECKPOINT_FILE) if os.path.isdir(copy) else copy
-    with open(path, "rb") as f:
-        blob = bytearray(f.read())
-    offset %= len(blob)
-    if byte is None:
-        del blob[offset:]
-    else:
-        blob[offset] = blob[offset] ^ byte if xor else byte
-    with open(path, "wb") as f:
-        f.write(blob)
-    return copy
+def load_corrupted(saved, target: str, offset: int, flip) -> None:
+    """Loading a copy of ``target``, its file cut at ``offset`` or ``flip`` XORed into the byte there, raises a FormatError naming the file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = os.path.join(scratch, target)
+        (shutil.copytree if os.path.isdir(saved / target) else shutil.copyfile)(saved / target, copy)
+        path = os.path.join(copy, CHECKPOINT_FILE) if os.path.isdir(copy) else copy
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
+        offset %= len(blob)
+        if flip is None:
+            del blob[offset:]
+        else:
+            blob[offset] ^= flip
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
+            LOADS[target](copy)
 
 
 @FUZZ
-@given(offset=OFFSETS, byte=BYTES)
-@example(offset=15, byte=0x80)  # the high byte of the header's state dimension
-@example(offset=19, byte=0x80)  # the high byte of the header's action dimension
-def test_corrupted_dataset_loads_or_raises_format_error(saved, offset, byte):
-    with tempfile.TemporaryDirectory() as scratch:
-        try:
-            data.load_dataset(corrupted_copy(saved, "data.ds", scratch, offset, byte))
-        except FormatError:
-            pass
-
-
-def load_corrupted_checkpoint(saved, target: str, offset: int, flip) -> None:
-    """Loading a copy of checkpoint ``target`` cut at ``offset``, or with a byte changed there, raises a FormatError."""
-    with tempfile.TemporaryDirectory() as scratch:
-        copy = corrupted_copy(saved, target, scratch, offset, flip, xor=True)
-        with pytest.raises(FormatError, match=CHECKPOINT_FILE):
-            LOADS[target](copy)
+@given(offset=OFFSETS, flip=FLIPS)
+@example(offset=9, flip=ord("2") ^ ord("1"))  # format = 1
+@example(offset=-1, flip=None)  # the last byte of the digest cut off
+def test_corrupted_dataset_raises_format_error(saved, offset, flip):
+    load_corrupted(saved, "data.ds", offset, flip)
 
 
 @FUZZ
@@ -92,7 +82,7 @@ def load_corrupted_checkpoint(saved, target: str, offset: int, flip) -> None:
 @example(offset=-1, flip=None)  # the last byte of the digest cut off
 @example(offset=-1, flip=1)  # the last byte of the digest changed
 def test_corrupted_ensemble_raises_format_error(saved, offset, flip):
-    load_corrupted_checkpoint(saved, "dynamics", offset, flip)
+    load_corrupted(saved, "dynamics", offset, flip)
 
 
 @FUZZ
@@ -100,7 +90,7 @@ def test_corrupted_ensemble_raises_format_error(saved, offset, flip):
 @example(offset=9, flip=ord("2") ^ ord("1"))  # format = 1
 @example(offset=-32, flip=None)  # the whole digest cut off
 def test_corrupted_q_raises_format_error(saved, offset, flip):
-    load_corrupted_checkpoint(saved, "q", offset, flip)
+    load_corrupted(saved, "q", offset, flip)
 
 
 def failing_fsync(fd):

@@ -1,8 +1,14 @@
+import hashlib
+import os
+import re
+
 import numpy as np
 import pytest
+from checkpoints import edit_lines, rewrite_artefact
 
 from mopp import data, envs
 from mopp.errors import ConfigError, DataError, FormatError
+from mopp.manifest import DIGEST_SIZE
 
 
 def generate_dataset_loop(env, policy, episodes, seed):
@@ -255,15 +261,20 @@ def test_failed_save_keeps_existing_dataset_and_leaves_no_temp_file(tmp_path, mo
     data.save_dataset(old, path)
     before = path.read_bytes()
 
-    class FailingHeader:
-        size = data._HEADER.size
+    synced = []
 
-        def pack(self, *values):
-            raise OSError("disk full")
+    def failing_fsync(fd):  # records the temp file the sync was asked to make durable
+        (tmp,) = [p for p in tmp_path.iterdir() if p.name != "d.ds"]
+        synced.append(tmp.read_bytes())
+        raise OSError("disk full")
 
-    monkeypatch.setattr(data, "_HEADER", FailingHeader())  # fails after the magic is written
+    monkeypatch.setattr(os, "fsync", failing_fsync)
     with pytest.raises(OSError, match="disk full"):
         data.save_dataset(new, path)
+    # the whole new file, digest included, was written before the sync
+    (blob,) = synced
+    assert hashlib.sha256(blob[:-DIGEST_SIZE]).digest() == blob[-DIGEST_SIZE:]
+    assert f"count = {len(new)}\n".encode() in blob.partition(b"\0")[0]
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ds"]
     monkeypatch.undo()
@@ -284,30 +295,50 @@ def test_empty_dataset_round_trip(tmp_path):
     assert loaded.state_dim == 4 and loaded.action_dim == 2
 
 
-def test_truncated_file_names_offset(tmp_path):
+def saved_dataset(tmp_path, name: str = "ok.ds"):
+    """A one-episode, five-step dataset saved at ``tmp_path / name``; returns the path."""
     env = envs.pointmass_env(max_steps=5)
-    ds = data.generate_dataset(env, envs.scripted_policy("random", env, 0), episodes=1, seed=0)
-    path = tmp_path / "ok.ds"
-    data.save_dataset(ds, path)
-    blob = path.read_bytes()
+    path = tmp_path / name
+    data.save_dataset(data.generate_dataset(env, envs.scripted_policy("random", env, 0), episodes=1, seed=0), path)
+    return path
+
+
+def test_truncated_file_names_offset(tmp_path):
+    blob = saved_dataset(tmp_path).read_bytes()
     bad = tmp_path / "cut.ds"
     bad.write_bytes(blob[:-3])
-    with pytest.raises(FormatError, match="byte offset"):
+    offset = len(blob) - 3 - DIGEST_SIZE
+    with pytest.raises(FormatError, match=re.escape(f"{bad}: the bytes before byte offset {offset} do not match")):
         data.load_dataset(bad)
 
 
 def test_bad_magic_and_version(tmp_path):
     path = tmp_path / "junk.ds"
-    path.write_bytes(b"WRONGMAG" + b"\x00" * 20)
-    with pytest.raises(FormatError, match="offset 0"):
+    path.write_bytes(b"WRONGMAG" + b"\x00" * 40)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: the bytes before byte offset 16 do not match")):
         data.load_dataset(path)
-    env = envs.pointmass_env(max_steps=5)
-    ds = data.generate_dataset(env, envs.scripted_policy("random", env, 0), episodes=1, seed=0)
-    good = tmp_path / "good.ds"
-    data.save_dataset(ds, good)
-    blob = bytearray(good.read_bytes())
-    blob[8] = 99  # version field
-    bad = tmp_path / "ver.ds"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="version"):
+    bad = rewrite_artefact(saved_dataset(tmp_path, "ver.ds"), edit_lines(lambda lines: ["format = 1\n", *lines[1:]]))
+    with pytest.raises(FormatError, match=re.escape(f"{bad}: key 'format' = 1, expected one of ['2']")):
         data.load_dataset(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("role = q", "key 'role' = q, expected one of ['dataset']"),
+        ("state_dim = -1", "keys 'state_dim' = -1 and 'action_dim' = 2 do not fit a record"),
+        ("state_dim = 1073741824", "keys 'state_dim' = 1073741824 and 'action_dim' = 2 do not fit a record"),
+        ("action_dim = 3", "key 'count' = 5 describes 265 bytes of records; the payload holds 245"),
+        ("count = 4", "key 'count' = 4 describes 196 bytes of records; the payload holds 245"),
+        ("episodes = 2", "key 'episodes' = 2, but the records hold 1 episodes"),
+    ],
+)
+def test_manifest_that_does_not_describe_the_records_is_format_error(tmp_path, line, message):
+    # the digest matches the edited bytes, so each check past it is reached
+    key = line.split(" = ")[0]
+    path = rewrite_artefact(saved_dataset(tmp_path), edit_lines(lambda lines: [
+        f"{line}\n" if old.startswith(f"{key} =") else old for old in lines
+    ]))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        data.load_dataset(path)
+
